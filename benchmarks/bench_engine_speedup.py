@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         # worker context caches) across every repeat — after the first
         # repeat the workers rebuild nothing.
         with CampaignRunner("batch", args.jobs) as shared:
-            shared.bind(flow.work_unit(), universe)
+            shared.bind(flow, universe)
             warm_seconds, warm_report = measure(
                 flow, universe, None, None, max(2, args.repeats),
                 runner=shared,
@@ -404,9 +404,7 @@ def main(argv=None) -> int:
     with _FallbackCounter() as fallbacks, CampaignRunner(
         "batch", args.jobs
     ) as shared:
-        shared.bind(
-            [flows[m].work_unit() for m in mixed_modes], universe
-        )
+        shared.bind([flows[m] for m in mixed_modes], universe)
         started = time.perf_counter()
         for mode in mixed_modes:
             calls_before = fallbacks.calls
@@ -453,7 +451,7 @@ def main(argv=None) -> int:
     with CampaignRunner(
         "batch", args.jobs, retry=chaos_retry, chaos=chaos_plan
     ) as supervised:
-        supervised.bind(flows["compare"].work_unit(), universe)
+        supervised.bind(flows["compare"], universe)
         started = time.perf_counter()
         chaos_report = run_campaign(
             flows["compare"], universe, runner=supervised

@@ -9,10 +9,11 @@ behind the paper's Section 5 coverage-equality theorem (benchmark E7).
 Campaigns can be executed through a pluggable simulation engine
 (``run_campaign(..., engine="batch")``): when the flow is a
 structure-carrying :class:`CompareFlow`, :class:`SignatureFlow` or
-:class:`AliasingFlow`, the whole per-class fault sweep is handed to
-:meth:`repro.engine.Engine.detect_batch` /
-:meth:`repro.engine.Engine.detect_signature_batch` /
-:meth:`repro.engine.Engine.detect_aliasing_batch`, which the
+:class:`AliasingFlow` — frozen values that are their own work units —
+the whole per-class fault sweep is handed to the engine's packed class
+oracle (:meth:`repro.engine.Engine.detect_class_batch` /
+:meth:`~repro.engine.Engine.detect_class_signature_batch` /
+:meth:`~repro.engine.Engine.detect_class_aliasing_batch`), which the
 vectorized batch backend evaluates word-parallel instead of op-by-op.
 With ``jobs=N`` the per-class sweeps are additionally sharded across
 worker processes (:class:`repro.engine.CampaignRunner`) and merged
@@ -34,16 +35,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable, Sequence
 
 from ..bist.controller import TransparentBist
 from ..bist.executor import run_march
 from ..core.march import MarchTest
 from ..engine import (
-    AliasingWork,
     CampaignRunner,
-    CompareWork,
     ContextStats,
     Engine,
     FaultPlan,
@@ -51,7 +50,6 @@ from ..engine import (
     PackedPairVerdicts,
     PackedVerdicts,
     RetryPolicy,
-    SignatureWork,
     get_engine,
 )
 from ..memory.faults import Fault
@@ -305,16 +303,15 @@ def run_campaign(
             f"shared runner executes engine {runner.engine.name!r} but the "
             f"campaign requested {getattr(eng, 'name', eng)!r}"
         )
-    work = flow.work_unit() if (
-        eng is not None
-        and isinstance(flow, (CompareFlow, SignatureFlow, AliasingFlow))
-    ) else None
+    # Structured flows are their own work units (AliasingFlow is a
+    # SignatureFlow).
+    batched = eng is not None and isinstance(flow, (CompareFlow, SignatureFlow))
     pair_verdicts = isinstance(flow, AliasingFlow)
     # Attribute stats to the backend that actually ran: a bare callable
     # cannot be batched, so the engine is bypassed entirely.
-    engine_label = eng.name if work is not None else "flow"
+    engine_label = eng.name if batched else "flow"
     owns_runner = False
-    if work is None:
+    if not batched:
         runner = None  # per-fault flows bypass the engine machinery
     elif runner is None:
         runner = CampaignRunner(
@@ -323,15 +320,15 @@ def run_campaign(
         owns_runner = True
     report = CampaignReport(
         flow_name,
-        engine=eng.name if work is not None else None,
+        engine=eng.name if batched else None,
         # The runner may demote itself to inline execution (e.g. an
         # unregistered engine instance); report what actually ran.
         jobs=runner.jobs if runner is not None else 1,
     )
     if runner is not None:
-        # A no-op when a shared runner already bound this work and
+        # A no-op when a shared runner already bound this flow and
         # universe (the mixed-mode fast path keeping workers warm).
-        runner.bind(work, universe)
+        runner.bind(flow, universe)
     try:
         for class_name, faults in universe.items():
             started = time.perf_counter()
@@ -345,7 +342,7 @@ def run_campaign(
                 # the kept-missed sample (<= keep_undetected) ever
                 # materializes a fault object here.
                 packed = runner.detect_class_packed(
-                    work, faults, class_name=class_name
+                    flow, faults, class_name=class_name
                 )
                 if len(packed) != len(faults):
                     raise RuntimeError(
@@ -441,29 +438,29 @@ def _initial_words(
     return words
 
 
+# Flows compare and hash by identity, like any callable; the value
+# identity that keys contexts and bindings is ``context_key()``.
+@dataclass(frozen=True, eq=False, repr=False)
 class CompareFlow:
-    """Alias-free compare-oracle flow with inspectable structure.
+    """Alias-free compare-oracle flow — and its own campaign work unit.
 
     Calling it with a fault behaves like the classic closure (fresh
-    faulty memory, ``stop_on_mismatch`` march run); the exposed
-    ``test`` / ``n_words`` / ``width`` / ``words`` / ``derive_writes``
-    attributes let :func:`run_campaign` hand whole fault classes to an
-    engine's batch path instead.
+    faulty memory, ``stop_on_mismatch`` march run).  As a frozen,
+    picklable value it is also what :func:`run_campaign` hands to
+    engines and shards: :meth:`context_key` / :meth:`build_context`
+    key and build the amortizable campaign state, and
+    :meth:`run_class` answers a whole fault class through the engine's
+    packed compare kernel.
     """
 
-    def __init__(
-        self,
-        test: MarchTest,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        derive_writes: bool = True,
-    ) -> None:
-        self.test = test
-        self.n_words = n_words
-        self.width = width
-        self.words = list(words)
-        self.derive_writes = derive_writes
+    test: MarchTest
+    n_words: int
+    width: int
+    words: list[int]
+    derive_writes: bool = True
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "words", list(self.words))
 
     def __call__(self, fault: Fault) -> bool:
         memory = FaultyMemory(self.n_words, self.width, [fault])
@@ -476,14 +473,39 @@ class CompareFlow:
         )
         return result.detected
 
-    def work_unit(self) -> CompareWork:
-        """The picklable campaign work unit handed to engines/shards."""
-        return CompareWork(
+    def context_key(self) -> tuple:
+        """Cache key of the amortizable campaign state (the engine is
+        fixed per cache, completing the ``(test, geometry, words,
+        mode, engine)`` key of the context runtime)."""
+        return (
+            "compare",
             self.test,
             self.n_words,
             self.width,
             tuple(self.words),
             self.derive_writes,
+        )
+
+    def build_context(self, engine: Engine) -> object:
+        return engine.build_compare_context(
+            self.test,
+            self.n_words,
+            self.width,
+            self.words,
+            derive_writes=self.derive_writes,
+        )
+
+    def run_class(
+        self, engine: Engine, faults: Sequence[Fault], context: object = None
+    ) -> PackedVerdicts:
+        return engine.detect_class_batch(
+            self.test,
+            self.n_words,
+            self.width,
+            self.words,
+            faults,
+            derive_writes=self.derive_writes,
+            context=context,
         )
 
 
@@ -508,53 +530,54 @@ def compare_flow(
     return CompareFlow(test, n_words, width, words, derive_writes)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SignatureFlow:
-    """Realistic two-phase transparent BIST flow with inspectable
-    structure (MISR compare, aliasing possible).
+    """Realistic two-phase transparent BIST flow (MISR compare,
+    aliasing possible) — and its own campaign work unit.
 
     Calling it with a fault behaves like the classic closure (fresh
-    faulty memory, full :class:`TransparentBist` session); the exposed
-    ``test`` / ``prediction`` / ``n_words`` / ``width`` / ``words`` /
-    ``misr_width`` / ``misr_seed`` attributes let
-    :func:`run_campaign` hand whole fault classes to an engine's
-    batched signature oracle instead.
+    faulty memory, full :class:`TransparentBist` session through
+    ``controller``, which validates the test and derives a missing
+    ``prediction``).  As a frozen, picklable value it is also what
+    :func:`run_campaign` hands to engines and shards, evaluated through
+    the engine's batched signature oracle.
     """
 
-    def __init__(
-        self,
-        test: MarchTest,
-        prediction: MarchTest | None,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        engine: str | Engine | None = None,
-    ) -> None:
-        self.controller = TransparentBist(
-            test,
-            prediction,
-            misr_width=misr_width,
-            misr_seed=misr_seed,
-            engine=engine,
+    test: MarchTest
+    prediction: MarchTest | None
+    n_words: int
+    width: int
+    words: list[int]
+    _: KW_ONLY
+    misr_width: int = 16
+    misr_seed: int = 0
+    engine: str | Engine | None = None
+    controller: TransparentBist = field(init=False)
+
+    def __post_init__(self) -> None:
+        controller = TransparentBist(
+            self.test,
+            self.prediction,
+            misr_width=self.misr_width,
+            misr_seed=self.misr_seed,
+            engine=self.engine,
         )
-        self.test = self.controller.test
-        self.prediction = self.controller.prediction
-        self.n_words = n_words
-        self.width = width
-        self.words = list(words)
-        self.misr_width = misr_width
-        self.misr_seed = misr_seed
+        object.__setattr__(self, "controller", controller)
+        object.__setattr__(self, "prediction", controller.prediction)
+        object.__setattr__(self, "words", list(self.words))
 
     def __call__(self, fault: Fault) -> bool:
         memory = FaultyMemory(self.n_words, self.width, [fault])
         memory.load(self.words)
         return self.controller.run(memory).detected
 
-    def work_unit(self) -> SignatureWork:
-        """The picklable campaign work unit handed to engines/shards."""
-        return SignatureWork(
+    def context_key(self) -> tuple:
+        """Deliberately shared with :class:`AliasingFlow`: both oracles
+        read the same two-phase session state, so signature- and
+        aliasing-mode campaigns of the same session reuse one cached
+        context."""
+        return (
+            "session",
             self.test,
             self.prediction,
             self.n_words,
@@ -562,6 +585,32 @@ class SignatureFlow:
             tuple(self.words),
             self.misr_width,
             self.misr_seed,
+        )
+
+    def build_context(self, engine: Engine) -> object:
+        return engine.build_session_context(
+            self.test,
+            self.prediction,
+            self.n_words,
+            self.width,
+            self.words,
+            misr_width=self.misr_width,
+            misr_seed=self.misr_seed,
+        )
+
+    def run_class(
+        self, engine: Engine, faults: Sequence[Fault], context: object = None
+    ) -> PackedVerdicts:
+        return engine.detect_class_signature_batch(
+            self.test,
+            self.prediction,
+            self.n_words,
+            self.width,
+            self.words,
+            faults,
+            misr_width=self.misr_width,
+            misr_seed=self.misr_seed,
+            context=context,
         )
 
 
@@ -592,44 +641,13 @@ def signature_flow(
     )
 
 
-class AliasingFlow:
-    """Pair-verdict transparent BIST flow with inspectable structure.
-
-    Calling it with a fault runs a full :class:`TransparentBist`
-    session and returns the ``(stream_detected, signature_detected)``
-    pair, so aliasing events (stream-detected but signature-missed)
-    can be counted; the exposed ``test`` / ``prediction`` /
-    ``n_words`` / ``width`` / ``words`` / ``misr_width`` /
-    ``misr_seed`` attributes let :func:`run_campaign` hand whole fault
-    classes to an engine's batched aliasing oracle instead.
-    """
-
-    def __init__(
-        self,
-        test: MarchTest,
-        prediction: MarchTest | None,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        engine: str | Engine | None = None,
-    ) -> None:
-        self.controller = TransparentBist(
-            test,
-            prediction,
-            misr_width=misr_width,
-            misr_seed=misr_seed,
-            engine=engine,
-        )
-        self.test = self.controller.test
-        self.prediction = self.controller.prediction
-        self.n_words = n_words
-        self.width = width
-        self.words = list(words)
-        self.misr_width = misr_width
-        self.misr_seed = misr_seed
+@dataclass(frozen=True, eq=False, repr=False)
+class AliasingFlow(SignatureFlow):
+    """Pair-verdict transparent BIST flow: the session of
+    :class:`SignatureFlow` (including its context key), reporting
+    per-fault ``(stream_detected, signature_detected)`` pairs so
+    aliasing events (stream-detected but signature-missed) can be
+    counted."""
 
     def __call__(self, fault: Fault) -> PairVerdict:
         memory = FaultyMemory(self.n_words, self.width, [fault])
@@ -637,16 +655,19 @@ class AliasingFlow:
         outcome = self.controller.run(memory)
         return outcome.stream_detected, outcome.detected
 
-    def work_unit(self) -> AliasingWork:
-        """The picklable campaign work unit handed to engines/shards."""
-        return AliasingWork(
+    def run_class(
+        self, engine: Engine, faults: Sequence[Fault], context: object = None
+    ) -> PackedPairVerdicts:
+        return engine.detect_class_aliasing_batch(
             self.test,
             self.prediction,
             self.n_words,
             self.width,
-            tuple(self.words),
-            self.misr_width,
-            self.misr_seed,
+            self.words,
+            faults,
+            misr_width=self.misr_width,
+            misr_seed=self.misr_seed,
+            context=context,
         )
 
 

@@ -277,7 +277,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         chaos=chaos,
         degrade=not args.no_degrade,
     ) as runner:
-        runner.bind([flow.work_unit() for flow in flows.values()], universe)
+        runner.bind(list(flows.values()), universe)
         total_stats = None
         for mode, flow in flows.items():
             report = run_campaign(

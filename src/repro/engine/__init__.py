@@ -15,8 +15,9 @@ Layers (see ``README.md`` in this directory):
   (bit-plane passes for single-cell faults, subset simulation for
   coupling and address-decoder faults, linear-MISR signature and
   pair-verdict aliasing batching, reference fallback otherwise);
-* :mod:`repro.engine.parallel` — supervised, lease-based campaign
-  sharding (:class:`CampaignRunner`): chunks dispatched as retryable
+* :mod:`repro.engine.parallel` — a supervised, lease-based map over
+  worker processes (:class:`SupervisedRunner`) and its fault-campaign
+  client (:class:`CampaignRunner`): chunks dispatched as retryable
   leases onto respawnable workers, merged back into the deterministic
   sequential order (with :mod:`repro.engine.retry` bounding recovery
   and :mod:`repro.engine.chaos` injecting deterministic worker faults
@@ -46,12 +47,10 @@ from .batch import BatchEngine
 from .chaos import ChaosEvent, FaultPlan
 from .context import CampaignContext, ContextCache, ContextStats
 from .parallel import (
-    AliasingWork,
     CampaignRunner,
     ChunkExhaustedError,
     ChunkLease,
-    CompareWork,
-    SignatureWork,
+    SupervisedRunner,
     shard_bounds,
     work_key,
 )
@@ -79,7 +78,6 @@ from .symbolic import (
 )
 
 __all__ = [
-    "AliasingWork",
     "BatchEngine",
     "CampaignContext",
     "CampaignRunner",
@@ -87,7 +85,6 @@ __all__ = [
     "ChaosEvent",
     "ChunkExhaustedError",
     "ChunkLease",
-    "CompareWork",
     "ContextCache",
     "ContextStats",
     "DEFAULT_ENGINE",
@@ -105,7 +102,7 @@ __all__ = [
     "ReferenceEngine",
     "RetryPolicy",
     "RunResult",
-    "SignatureWork",
+    "SupervisedRunner",
     "SymbolicElement",
     "SymbolicEngine",
     "SymbolicProgram",

@@ -189,10 +189,6 @@ class Engine:
         ``context`` accepts a prebuilt :meth:`build_session_context`
         payload.
         """
-        # context= travels only when a payload exists, so a subclass
-        # overriding detect_aliasing_batch with the pre-context
-        # signature keeps working (its build hooks return None).
-        kwargs = {} if context is None else {"context": context}
         return [
             signature
             for _stream, signature in self.detect_aliasing_batch(
@@ -204,7 +200,7 @@ class Engine:
                 faults,
                 misr_width=misr_width,
                 misr_seed=misr_seed,
-                **kwargs,
+                context=context,
             )
         ]
 
@@ -291,7 +287,6 @@ class Engine:
         """
         from .verdicts import PackedVerdicts
 
-        kwargs = {} if context is None else {"context": context}
         return PackedVerdicts.from_bools(
             self.detect_batch(
                 test,
@@ -300,7 +295,7 @@ class Engine:
                 words,
                 faults,
                 derive_writes=derive_writes,
-                **kwargs,
+                context=context,
             )
         )
 
@@ -321,7 +316,6 @@ class Engine:
         (:meth:`detect_signature_batch` lifted to bitsets)."""
         from .verdicts import PackedVerdicts
 
-        kwargs = {} if context is None else {"context": context}
         return PackedVerdicts.from_bools(
             self.detect_signature_batch(
                 test,
@@ -332,7 +326,7 @@ class Engine:
                 faults,
                 misr_width=misr_width,
                 misr_seed=misr_seed,
-                **kwargs,
+                context=context,
             )
         )
 
@@ -353,7 +347,6 @@ class Engine:
         (:meth:`detect_aliasing_batch` lifted to paired bitsets)."""
         from .verdicts import PackedPairVerdicts
 
-        kwargs = {} if context is None else {"context": context}
         return PackedPairVerdicts.from_pairs(
             self.detect_aliasing_batch(
                 test,
@@ -364,7 +357,7 @@ class Engine:
                 faults,
                 misr_width=misr_width,
                 misr_seed=misr_seed,
-                **kwargs,
+                context=context,
             )
         )
 

@@ -17,10 +17,10 @@ cost:
   engine's ``_CampaignContext`` / ``_SignatureContext``), and how long
   it took to build;
 * :class:`ContextCache` — a keyed cache of contexts for one engine.
-  Keys come from the work units' :meth:`context_key` (test identity,
+  Keys come from the flows' :meth:`context_key` (test identity,
   geometry, words, mode parameters); the engine is fixed per cache, so
   the effective key is the issue-spec ``(test, geometry, words, mode,
-  engine)`` tuple.  Signature- and aliasing-mode work units share one
+  engine)`` tuple.  Signature- and aliasing-mode flows share one
   ``"session"`` key on purpose: both oracles read the same two-phase
   session state, so a mixed-mode run builds it once;
 * :class:`ContextStats` — hit/miss/build counters with build seconds,
@@ -125,8 +125,8 @@ class CampaignContext:
     """One built campaign context.
 
     ``payload`` is whatever the engine's builder returned — opaque to
-    the runtime, handed back verbatim through the work unit's
-    ``run(engine, faults, context=payload)``.  ``None`` means the
+    the runtime, handed back verbatim through the flow's
+    ``run_class(engine, faults, context=payload)``.  ``None`` means the
     engine has nothing reusable for this work (the cache still
     remembers that, so the probe is not repeated either).
     """

@@ -1,115 +1,110 @@
-"""Supervised, lease-based parallel campaign execution.
+"""Supervised, lease-based parallel execution.
 
 A compare- or signature-oracle campaign slice is embarrassingly
 parallel: every fault is simulated alone against the same immutable
 ``(test, content)`` context, so a per-class fault list can be split
 into contiguous chunks and evaluated on separate processes with no
-shared state.  This module provides
+shared state.  Soak scenario sweeps are the same shape — each scenario
+is a pure function of its spec.  This module provides
 
-* :class:`CompareWork` / :class:`SignatureWork` / :class:`AliasingWork`
-  — picklable work-unit descriptions (the flow structure minus the
-  faults), executable against any registered engine and keyed into the
-  campaign-context cache (:mod:`repro.engine.context`);
-* :class:`CampaignRunner` — a supervised worker-pool wrapper that
-  shards fault classes into **leases**, dispatches them, survives
-  worker faults, and merges verdicts deterministically.
+* :class:`SupervisedRunner` — a lazily built pool of supervised worker
+  processes with one generic operation, :meth:`SupervisedRunner.map`:
+  apply a module-level function ``fn(task, start, stop)`` to the
+  ``[start, stop)`` chunks of one picklable task, surviving worker
+  faults, and return the chunk results in order;
+* :class:`CampaignRunner` — the fault-campaign client of that map:
+  it evaluates fault classes through a flow (a frozen
+  :class:`~repro.analysis.coverage.CompareFlow`,
+  :class:`~repro.analysis.coverage.SignatureFlow` or
+  :class:`~repro.analysis.coverage.AliasingFlow`, which is its own work
+  unit), sharding large materialized classes and merging the packed
+  verdicts deterministically.
 
 Fault-tolerant execution fabric
 -------------------------------
 
-Every dispatched chunk is a :class:`ChunkLease` ``(work_key, class,
-start, stop, attempt, deadline)`` tracked by the parent.  Workers are
-plain ``multiprocessing`` processes supervised over per-worker duplex
-pipes — no shared queues a dying worker could corrupt — and the
-supervisor loop detects three fault families:
+Every dispatched chunk is a :class:`ChunkLease` ``(task, label, start,
+stop, attempt, deadline)`` tracked by the parent.  Workers are plain
+``multiprocessing`` processes supervised over per-worker duplex pipes
+— no shared queues a dying worker could corrupt — and the supervisor
+loop detects three fault families:
 
 * **crash** — the worker's pipe hits EOF (or the process stops being
   alive): its lease is unacked, the worker is respawned, the lease
   re-dispatched;
 * **hang** — the lease's deadline (``RetryPolicy.timeout``) passes:
   the worker is terminated and respawned, the lease re-dispatched;
-* **corruption / poison** — the chunk result carries the wrong number
-  of verdicts, or the chunk raised in the worker: the attempt is
-  discarded and the lease re-dispatched.
+* **corruption / poison** — the chunk result has the wrong length, or
+  the chunk raised in the worker: the attempt is discarded and the
+  lease re-dispatched.
 
 Re-dispatch is bounded by :class:`~repro.engine.retry.RetryPolicy`
 (attempt count, per-attempt deadline, exponential backoff).  A lease
 that exhausts its attempts **degrades gracefully**: the chunk runs
-in-process through the runner's own context cache (and when the pool
-cannot be built or rebuilt at all, the whole class falls back to
-``jobs=1`` execution) instead of aborting the campaign; pass
-``degrade=False`` to make exhaustion raise instead.  Everything the
-supervisor did is accounted in
-:class:`~repro.engine.retry.FaultToleranceStats`
+in-process (and when the pool cannot be built at all, every chunk
+does) instead of aborting the run; pass ``degrade=False`` to make
+exhaustion raise instead.  Everything the supervisor did is accounted
+in :class:`~repro.engine.retry.FaultToleranceStats`
 (``CampaignReport.fault_tolerance``, the CLI ``faults:`` line).
 
 An injectable chaos layer (:mod:`repro.engine.chaos`) disturbs
-dispatches deterministically — worker N crashes/hangs/corrupts on
-chunk M — so tests, CI and the benchmark can prove the recovery paths
-produce bit-identical reports.
+dispatches deterministically — chunk M of label L crashes, hangs,
+corrupts or raises — keyed by the fault-class name for campaigns and
+by ``soak`` for scenario chunks, so tests, CI and the benchmark can
+prove the recovery paths produce bit-identical reports.
 
 Amortized campaign contexts
 ---------------------------
 
-The expensive part of a chunk is not the fault verdicts — it is the
-*context*: packed bit-planes, MISR weight tables, fault-free
+The expensive part of a campaign chunk is not the fault verdicts — it
+is the *context*: packed bit-planes, MISR weight tables, fault-free
 baselines.  That context depends only on ``(test, geometry, words,
 mode, engine)``, so every worker process keeps a
-:class:`~repro.engine.context.ContextCache` for its lifetime:
-
-* the **first** chunk a worker sees for a given key builds the context
-  (at most one build per distinct context per worker);
-* every later chunk — across classes, campaigns and oracles — replays
-  the cached one;
-* signature- and aliasing-mode work units share one ``"session"``
-  context key on purpose, so a mixed-mode run builds the two-phase
-  session state once per worker, not once per mode.
-
-Chunk results carry the worker cache's counter deltas back to the
-parent, where :meth:`CampaignRunner.take_stats` aggregates them with
-the in-process cache (the jobs=1 / small-class path) so
-``CampaignReport.context_stats`` can prove the amortization.
+:class:`~repro.engine.context.ContextCache` per engine for its
+lifetime: the first chunk a worker sees for a key builds the context,
+every later chunk — across classes, campaigns and oracles — replays
+it (signature and aliasing flows share one ``"session"`` key on
+purpose).  Chunk results carry the worker caches' counter deltas back
+to the parent, where :meth:`CampaignRunner.take_stats` aggregates them
+with the in-process cache so ``CampaignReport.context_stats`` can
+prove the amortization.
 
 Determinism contract
 --------------------
 
-``jobs=1`` and ``jobs=N`` produce bit-identical coverage vectors and
-stable report ordering — *with or without faults in the fabric* — by
-construction:
+``jobs=1`` and ``jobs=N`` produce bit-identical results — *with or
+without faults in the fabric* — by construction:
 
-* all randomness (initial memory content, fault-universe sampling) is
-  resolved from the campaign seed *before* sharding — the work unit
-  carries the concrete word list, and fault enumeration order is fixed
-  by the universe builder;
-* chunk boundaries depend only on ``(len(faults), jobs)``, never on
+* all randomness (initial memory content, fault-universe sampling,
+  scenario seeds) is resolved *before* sharding;
+* chunk boundaries depend only on ``(len(items), jobs)``, never on
   timing; because the enumerators emit faults in address order,
   contiguous chunks are address-range shards;
-* verdicts are merged back in lease order (chunk *i*'s verdicts land
-  before chunk *i+1*'s), recovering the exact sequential order
-  regardless of completion order, retries or degradation;
-* a chunk is a pure function of ``(work, class, start, stop)`` — a
+* results are merged back in lease order, recovering the exact
+  sequential order regardless of completion order, retries or
+  degradation;
+* a chunk is a pure function of ``(fn, task, start, stop)`` — a
   retried attempt, a chunk evaluated on a respawned worker and a
-  degraded in-process run all produce the same verdicts bit for bit;
-* cached contexts are pure precomputations of the work unit — a warm
+  degraded in-process run all produce the same result bit for bit;
+* cached contexts are pure precomputations of the flow — a warm
   replay and a cold build produce the same verdicts (only the cache
   *counters* differ between runs).
 
-Incremental binding
--------------------
+Fork-time snapshot
+------------------
 
-Workers are forked when the platform allows it, and
-:meth:`CampaignRunner.bind` publishes the work units and fault classes
-to the runner's private binding store immediately before the fork, so
-chunks travel as bare ``(work_key, class, gen, start, stop)`` messages
-and the fault objects reach the workers through copy-on-write memory.
-Re-binding is **incremental**: binding new works or a different
-universe while the pool is alive ships only the per-class *diff* to
-each worker over its pipe — the pool, its processes and their warm
-context caches all survive, and because every runner owns its store
-(respawned workers inherit a just-in-time snapshot of it), two bound
-runners can interleave in one process without clobbering each other.
-On spawn-only platforms chunks carry their pickled work unit and fault
-slice instead — slower transport, same verdicts.
+Fault classes are not shipped with their chunks.
+:meth:`CampaignRunner.bind` records the flows and materialized fault
+classes of a campaign (or of a whole mixed-mode run) as a read-only
+snapshot that each worker inherits when it is forked, so a chunk
+travels as a bare ``((flow key, class), start, stop)`` message.
+Re-binding flows and classes the snapshot already holds (the same
+class objects) is a no-op that keeps the pool and its warm context
+caches; a bind that changes the snapshot closes the pool, and the next
+sharded class forks fresh workers from the new one.  Each runner owns
+its snapshot, so interleaved runners never see each other's
+campaigns.  Without fork, campaigns run inline (``jobs`` reports 1);
+soak scenario chunks carry their scenarios by value and still shard.
 """
 
 from __future__ import annotations
@@ -117,7 +112,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -128,198 +123,16 @@ from .context import ContextCache, ContextStats
 from .retry import FaultToleranceStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.march import MarchTest
     from ..memory.faults import Fault
     from .verdicts import PackedPairVerdicts, PackedVerdicts
 
 
-@dataclass(frozen=True)
-class CompareWork:
-    """One compare-oracle campaign context description: everything an
-    engine's :meth:`~repro.engine.Engine.detect_batch` needs except the
-    faults."""
-
-    test: "MarchTest"
-    n_words: int
-    width: int
-    words: tuple[int, ...]
-    derive_writes: bool = True
-
-    def context_key(self) -> tuple:
-        """Cache key of the amortizable campaign state (the engine is
-        fixed per cache, completing the ``(test, geometry, words,
-        mode, engine)`` key of the context runtime)."""
-        return (
-            "compare",
-            self.test,
-            self.n_words,
-            self.width,
-            self.words,
-            self.derive_writes,
-        )
-
-    def build_context(self, engine: Engine) -> object:
-        return engine.build_compare_context(
-            self.test,
-            self.n_words,
-            self.width,
-            list(self.words),
-            derive_writes=self.derive_writes,
-        )
-
-    def run(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[bool]:
-        # context= travels only when a payload exists: an engine whose
-        # build hook returned None may predate the context parameter
-        # entirely (custom engines overriding the old signatures).
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_batch(
-            self.test,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            derive_writes=self.derive_writes,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> "PackedVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_batch(
-            self.test,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            derive_writes=self.derive_writes,
-            **kwargs,
-        )
-
-
-@dataclass(frozen=True)
-class SignatureWork:
-    """One signature-oracle campaign context description (two-phase
-    MISR session)."""
-
-    test: "MarchTest"
-    prediction: "MarchTest"
-    n_words: int
-    width: int
-    words: tuple[int, ...]
-    misr_width: int = 16
-    misr_seed: int = 0
-
-    def context_key(self) -> tuple:
-        """Deliberately shared with :class:`AliasingWork`: both oracles
-        read the same two-phase session state, so signature- and
-        aliasing-mode campaigns of the same session reuse one cached
-        context."""
-        return (
-            "session",
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            self.words,
-            self.misr_width,
-            self.misr_seed,
-        )
-
-    def build_context(self, engine: Engine) -> object:
-        return engine.build_session_context(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-        )
-
-    def run(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[bool]:
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_signature_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> "PackedVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_signature_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-
-@dataclass(frozen=True)
-class AliasingWork(SignatureWork):
-    """One aliasing-oracle campaign context description: the exact
-    session description of :class:`SignatureWork` (including its cache
-    key), but reporting per-fault ``(stream detected, signature
-    detected)`` pair verdicts so aliasing events can be counted.  Pair
-    verdicts are plain tuples of bools, so chunks shard and merge
-    exactly like boolean verdicts."""
-
-    def run(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[tuple[bool, bool]]:
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_aliasing_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> "PackedPairVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_aliasing_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-
-def work_key(work) -> tuple:
-    """Dispatch identity of a work unit: its class plus its context
-    key.  Two works may *share* a context (signature + aliasing share
-    the session state) yet run different oracles, so bound-work lookup
+def work_key(flow) -> tuple:
+    """Dispatch identity of a flow: its class plus its context key.
+    Two flows may *share* a context (signature + aliasing share the
+    session state) yet run different oracles, so bound-flow lookup
     must key on both."""
-    return (type(work).__name__, work.context_key())
+    return (type(flow).__name__, flow.context_key())
 
 
 class ChunkExhaustedError(ExecutionError):
@@ -329,19 +142,19 @@ class ChunkExhaustedError(ExecutionError):
 
 @dataclass
 class ChunkLease:
-    """One dispatched (and re-dispatchable) chunk of a fault class.
+    """One dispatched (and re-dispatchable) chunk of a map.
 
-    The parent tracks every lease until its verdicts are acked; an
+    The parent tracks every lease until its result is acked; an
     unacked lease — worker crash, deadline passed, corrupt or raising
     chunk — is re-dispatched with bounded backoff, and chunk purity
-    makes the retry bit-identical.  ``index`` is the merge position in
-    the class's chunk order; ``chunk`` the ordinal the chaos plan keys
-    on (identical to ``index`` for a single-class dispatch).
+    makes the retry bit-identical.  ``index`` is the merge position;
+    ``label`` and ``chunk`` are what the chaos plan keys on (the fault
+    class or ``soak``, and the chunk ordinal within that map).
     """
 
     index: int
-    task: tuple
-    class_name: str | None
+    task: object
+    label: str | None
     chunk: int
     start: int
     stop: int
@@ -352,25 +165,26 @@ class ChunkLease:
     last_error: str | None = None
 
     @property
-    def n_faults(self) -> int:
+    def size(self) -> int:
         return self.stop - self.start
 
     def describe(self) -> str:
-        label = self.class_name if self.class_name is not None else "<direct>"
-        return f"chunk {self.chunk} of class {label} [{self.start}:{self.stop}]"
+        return f"chunk {self.chunk} of {self.label} [{self.start}:{self.stop}]"
 
 
 # ---------------------------------------------------------------------------
-# Worker-side persistent state
+# Worker side
 # ---------------------------------------------------------------------------
 
 # Per-process campaign-context caches, one per engine name, alive for
-# the worker process's lifetime.  A worker builds each distinct context
-# at most once and replays it for every subsequent chunk that shares
-# the key — across fault classes, campaigns and oracle modes.  The
-# parent process never touches these (its inline path uses the
-# runner's own cache), so forked children start empty.
+# the worker process's lifetime.  The parent process never touches
+# these (its inline path uses the runner's own cache), so forked
+# children start empty.
 _WORKER_CACHES: dict[str, ContextCache] = {}
+
+# The spawning runner's read-only snapshot, installed once at worker
+# start (inherited without pickling under fork).
+_WORKER_STATE: object = None
 
 
 def _worker_cache(engine_name: str) -> ContextCache:
@@ -381,113 +195,49 @@ def _worker_cache(engine_name: str) -> ContextCache:
     return cache
 
 
-class _BindingStore:
-    """Bound campaign state: work units and fault classes by name.
-
-    Each :class:`CampaignRunner` owns one; each worker process holds a
-    snapshot of its runner's store (inherited copy-on-write at fork)
-    and applies incremental ``bind`` diffs the parent pushes over the
-    worker's pipe.  ``class_gen`` carries a per-class generation the
-    chunk messages echo, so a worker evaluating a chunk against stale
-    class data fails loudly instead of returning wrong verdicts.
-    """
-
-    __slots__ = ("works", "classes", "class_gen")
-
-    def __init__(self) -> None:
-        self.works: dict[tuple, object] = {}
-        self.classes: dict[str, Sequence] = {}
-        self.class_gen: dict[str, int] = {}
-
-    def apply(self, works, classes, gens, drops) -> None:
-        self.works.update(works)
-        self.classes.update(classes)
-        self.class_gen.update(gens)
-        for name in drops:
-            self.classes.pop(name, None)
-            self.class_gen.pop(name, None)
-
-
-# Fork-transfer slot: set to the spawning runner's store immediately
-# before each Process.start() and cleared right after, so every forked
-# worker — initial or respawned — inherits exactly its own runner's
-# current binding snapshot.  Single-threaded parents make this
-# race-free, and per-runner stores make interleaved bound runners safe
-# (each pool's workers only ever see their own runner's campaigns).
-_FORK_STORE: "_BindingStore | None" = None
-
-
-class _BindingError(Exception):
-    """A chunk referenced a work or class generation its worker does
-    not hold — a supervision-protocol bug, never retried."""
-
-
-def _execute_chunk(engine_name: str, store: _BindingStore, task, action):
-    """Run one chunk in a worker: resolve the work unit and fault
-    slice (from the inherited binding or the message itself), apply
-    any injected chaos, and evaluate against the worker's persistent
-    context cache.  Returns ``(packed_verdicts, stats_delta)`` — the
-    packed bitset pickles back to the parent at a few bytes per 8
-    faults."""
-    perform_chaos(action)
-    if task[0] == "bound":
-        _, key, class_name, gen, start, stop = task
-        work = store.works.get(key)
-        if work is None or store.class_gen.get(class_name) != gen:
-            raise _BindingError(
-                f"worker holds no binding for work {key[0]} / class "
-                f"{class_name!r} at generation {gen} (bind diffs must "
-                "precede the chunks that use them)"
-            )
-        faults = store.classes[class_name][start:stop]
-    else:
-        _, work, faults = task
-    if action == "corrupt":
-        # Evaluate a truncated slice: the result is a well-formed
-        # verdict vector for the wrong number of faults, which is
-        # exactly what the parent's integrity check must catch.
-        faults = faults[:-1]
-    if action == "error":
-        raise RuntimeError("chaos: injected chunk failure")
+def _run_fault_chunk(task, start: int, stop: int):
+    """Worker chunk of a fault campaign: evaluate ``[start, stop)`` of
+    a bound class through a bound flow, against the worker's
+    persistent context cache."""
+    key, class_name = task
+    engine_name, flows, classes = _WORKER_STATE
+    flow = flows[key]
     cache = _worker_cache(engine_name)
-    ctx = cache.get(work)
-    verdicts = work.run_class(cache.engine, faults, context=ctx.payload)
-    return verdicts, cache.take_stats().as_dict()
+    ctx = cache.get(flow)
+    faults = classes[class_name][start:stop]
+    return flow.run_class(cache.engine, faults, context=ctx.payload)
 
 
-def _worker_main(engine_name: str, conn) -> None:
-    """Worker process loop: apply bind diffs, evaluate chunk leases,
-    ship results (or picklable failure descriptions) back over the
-    worker's private pipe.  Module-level so it pickles under both fork
-    and spawn; under spawn the inherited store is empty and chunks
-    arrive self-contained."""
-    store = _FORK_STORE if _FORK_STORE is not None else _BindingStore()
+def _worker_main(conn, state) -> None:
+    """Worker process loop: evaluate chunk leases and ship results (or
+    failure descriptions) back over the worker's private pipe.
+    Module-level so it pickles under both fork and spawn."""
+    global _WORKER_STATE
+    _WORKER_STATE = state
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        kind = message[0]
-        if kind == "stop":
+        if message is None:
             conn.close()
             return
-        if kind == "bind":
-            store.apply(*message[1:])
-            continue
-        _, lease_index, attempt, task, action = message
+        index, attempt, fn, task, start, stop, action = message
         try:
-            verdicts, stats = _execute_chunk(engine_name, store, task, action)
-            reply = ("ok", lease_index, attempt, verdicts, stats)
-        except _BindingError as error:
-            reply = ("err", lease_index, attempt, False, str(error))
+            perform_chaos(action)
+            if action == "corrupt":
+                # A well-formed result for the wrong number of items:
+                # exactly what the parent's integrity check must catch.
+                stop -= 1
+            if action == "error":
+                raise RuntimeError("chaos: injected chunk failure")
+            result = fn(task, start, stop)
+            stats = ContextStats()
+            for cache in _WORKER_CACHES.values():
+                stats.merge(cache.take_stats())
+            reply = ("ok", index, attempt, result, stats.as_dict())
         except Exception as error:  # noqa: BLE001 - shipped to the parent
-            reply = (
-                "err",
-                lease_index,
-                attempt,
-                True,
-                f"{type(error).__name__}: {error}",
-            )
+            reply = ("err", index, attempt, f"{type(error).__name__}: {error}")
         try:
             conn.send(reply)
         except (OSError, ValueError):
@@ -511,9 +261,9 @@ def shard_bounds(n_faults: int, n_chunks: int) -> list[tuple[int, int]]:
 
 
 def _pool_context():
-    """Prefer fork (cheap, inherits the engine registry and binding
-    store); fall back to the platform default where fork does not
-    exist."""
+    """Prefer fork (cheap, inherits the engine registry and the
+    runner's snapshot); fall back to the platform default where fork
+    does not exist."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -528,19 +278,18 @@ class _Worker:
 
     process: object
     conn: object
-    id: int
     lease: "ChunkLease | None" = None
 
 
 class _SupervisedPool:
     """A fixed-size set of supervised worker processes.
 
-    One duplex pipe per worker — no shared queue a dying worker could
-    corrupt — and at most one outstanding lease per worker, so the
-    lease→worker mapping is exact and worker loss maps to a precise
-    set of unacked leases.  :meth:`run_leases` is the supervisor loop:
-    dispatch, wait on the busy pipes, collect, reap crashed and hung
-    workers, re-dispatch with backoff, degrade what exhausts.
+    One duplex pipe per worker and at most one outstanding lease per
+    worker, so the lease→worker mapping is exact and worker loss maps
+    to a precise set of unacked leases.  :meth:`run_leases` is the
+    supervisor loop: dispatch, wait on the busy pipes, collect, reap
+    crashed and hung workers, re-dispatch with backoff, degrade what
+    exhausts.
     """
 
     # Idle poll cap: pipe EOF wakes the wait() immediately on crashes,
@@ -551,17 +300,25 @@ class _SupervisedPool:
         self,
         jobs: int,
         mp_context,
-        engine_name: str,
-        store: _BindingStore,
+        state,
         stats: FaultToleranceStats,
+        retry: RetryPolicy,
+        chaos: "FaultPlan | None",
+        degrade: bool,
     ) -> None:
         self._jobs = jobs
         self._context = mp_context
-        self._engine_name = engine_name
-        self._store = store
+        self._state = state
         self._stats = stats
+        self._retry = retry
+        self._chaos = chaos
+        self._degrade_ok = degrade
         self._workers: list[_Worker] = []
-        self._next_id = 0
+        # Per-map state of run_leases.
+        self._fn: Callable | None = None
+        self._run_inline: Callable | None = None
+        self._results: dict[int, tuple] = {}
+        self._pending: deque[ChunkLease] = deque()
         try:
             for _ in range(jobs):
                 self._workers.append(self._spawn())
@@ -571,22 +328,13 @@ class _SupervisedPool:
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self) -> _Worker:
-        global _FORK_STORE
-        _FORK_STORE = self._store
-        try:
-            parent_conn, child_conn = self._context.Pipe()
-            process = self._context.Process(
-                target=_worker_main,
-                args=(self._engine_name, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-        finally:
-            _FORK_STORE = None
-        worker = _Worker(process, parent_conn, self._next_id)
-        self._next_id += 1
-        return worker
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main, args=(child_conn, self._state), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process, parent_conn)
 
     def _respawn(self) -> None:
         """Replace a lost worker; a failed respawn shrinks the pool
@@ -615,12 +363,16 @@ class _SupervisedPool:
         except Exception:
             pass
 
+    def _replace(self, worker: _Worker) -> None:
+        self._discard(worker, terminate=True)
+        self._respawn()
+
     def close(self) -> None:
         """Stop every worker; never raises (teardown must not mask a
         campaign error or an interpreter-shutdown sequence)."""
         for worker in list(self._workers):
             try:
-                worker.conn.send(("stop",))
+                worker.conn.send(None)
             except Exception:
                 pass
             self._discard(worker, terminate=True)
@@ -631,49 +383,30 @@ class _SupervisedPool:
         return bool(self._workers)
 
     def worker_pids(self) -> list[int]:
-        """Live worker process ids (tests assert pool survival on
-        re-bind through these)."""
+        """Live worker process ids."""
         return [w.process.pid for w in self._workers]
-
-    # -- binding -------------------------------------------------------
-    def broadcast_bind(self, works, classes, gens, drops) -> None:
-        """Push an incremental binding diff to every worker.  Pipes
-        are FIFO, so the diff lands before any chunk that needs it; a
-        worker that died while idle is replaced (and inherits the
-        already-updated store wholesale at fork)."""
-        for worker in list(self._workers):
-            try:
-                worker.conn.send(("bind", works, classes, gens, drops))
-            except (OSError, ValueError):
-                self._stats.crashes += 1
-                self._discard(worker, terminate=True)
-                self._respawn()
 
     # -- supervision ---------------------------------------------------
     def run_leases(
         self,
+        fn: Callable,
         leases: "list[ChunkLease]",
-        *,
-        retry: RetryPolicy,
-        chaos: "FaultPlan | None",
-        degrade: bool,
         run_inline: "Callable[[ChunkLease], object]",
     ) -> list:
         """Execute every lease to acknowledgement and return
-        ``[(verdicts, stats_delta_or_None), ...]`` in lease order.
+        ``[(result, stats_delta_or_None), ...]`` in lease order.
 
         Completion order never matters: results are keyed by lease
         index, so retries, respawns and degradations cannot perturb
         the deterministic merge.
         """
-        results: dict[int, tuple] = {}
-        pending: deque[ChunkLease] = deque(leases)
+        self._fn, self._run_inline = fn, run_inline
+        self._results = results = {}
+        self._pending = pending = deque(leases)
         try:
             while len(results) < len(leases):
                 now = time.monotonic()
-                self._dispatch(
-                    pending, results, retry, chaos, degrade, run_inline, now
-                )
+                self._dispatch(now)
                 if len(results) >= len(leases):
                     break
                 busy = [w for w in self._workers if w.lease is not None]
@@ -685,30 +418,20 @@ class _SupervisedPool:
                         )
                     # Every pending lease is backing off (or the pool
                     # is gone, which _dispatch degrades next pass).
-                    wait = min(
-                        (lease.not_before for lease in pending),
-                        default=now,
-                    ) - now
+                    wait = min(lease.not_before for lease in pending) - now
                     if wait > 0:
                         time.sleep(min(wait, self._POLL_SECONDS))
                     continue
-                timeout = self._poll_timeout(pending, busy, now)
                 ready = mp_connection.wait(
-                    [w.conn for w in busy], timeout=timeout
+                    [w.conn for w in busy], timeout=self._poll_timeout(busy, now)
                 )
-                for conn in ready:
-                    worker = next(
-                        (w for w in self._workers if w.conn is conn), None
-                    )
-                    if worker is not None:
-                        self._collect(
-                            worker, results, pending, retry, degrade,
-                            run_inline,
-                        )
-                self._reap(results, pending, retry, degrade, run_inline)
+                for worker in busy:
+                    if worker.conn in ready:
+                        self._collect(worker)
+                self._reap()
         finally:
-            # A raising campaign (degrade=False, or a genuine error
-            # resurfacing from an in-process degraded run) must not
+            # A raising run (degrade=False, or a genuine error
+            # resurfacing from an in-process degraded chunk) must not
             # leave workers computing abandoned leases: their late
             # results could collide with a future dispatch's
             # (index, attempt) tag, so replace those workers outright.
@@ -717,42 +440,48 @@ class _SupervisedPool:
             for worker in list(self._workers):
                 if worker.lease is not None:
                     worker.lease = None
-                    self._discard(worker, terminate=True)
-                    self._respawn()
+                    self._replace(worker)
+            self._fn = self._run_inline = None
         return [results[lease.index] for lease in leases]
 
-    def _dispatch(
-        self, pending, results, retry, chaos, degrade, run_inline, now
-    ) -> None:
+    def _dispatch(self, now: float) -> None:
+        pending = self._pending
         while pending:
             if not self._workers:
                 # No pool left at all: the remaining leases can only
                 # run in-process (the jobs=1 degradation ladder rung).
                 lease = pending.popleft()
                 lease.last_error = lease.last_error or "worker pool lost"
-                self._degrade(lease, results, degrade, run_inline)
+                self._degrade(lease)
                 continue
             idle = next((w for w in self._workers if w.lease is None), None)
             if idle is None:
                 return
-            lease = self._next_ready(pending, now)
+            lease = self._next_ready(now)
             if lease is None:
                 return
             lease.attempt += 1
             action = (
-                chaos.action_for(lease.class_name, lease.chunk, lease.attempt)
-                if chaos is not None
+                self._chaos.action_for(lease.label, lease.chunk, lease.attempt)
+                if self._chaos is not None
                 else None
             )
             if action is not None:
                 self._stats.chaos_injected += 1
             lease.dispatched_at = now
-            lease.deadline = (
-                now + retry.timeout if retry.timeout is not None else None
-            )
+            timeout = self._retry.timeout
+            lease.deadline = now + timeout if timeout is not None else None
             try:
                 idle.conn.send(
-                    ("chunk", lease.index, lease.attempt, lease.task, action)
+                    (
+                        lease.index,
+                        lease.attempt,
+                        self._fn,
+                        lease.task,
+                        lease.start,
+                        lease.stop,
+                        action,
+                    )
                 )
             except (OSError, ValueError):
                 # Died while idle: undo the attempt (it never ran),
@@ -760,76 +489,58 @@ class _SupervisedPool:
                 lease.attempt -= 1
                 pending.appendleft(lease)
                 self._stats.crashes += 1
-                self._discard(idle, terminate=True)
-                self._respawn()
+                self._replace(idle)
                 continue
             idle.lease = lease
 
-    @staticmethod
-    def _next_ready(pending, now) -> "ChunkLease | None":
+    def _next_ready(self, now: float) -> "ChunkLease | None":
+        pending = self._pending
         for _ in range(len(pending)):
             if pending[0].not_before <= now:
                 return pending.popleft()
             pending.rotate(-1)
         return None
 
-    def _poll_timeout(self, pending, busy, now) -> float:
+    def _poll_timeout(self, busy, now: float) -> float:
         timeout = self._POLL_SECONDS
-        for lease in pending:
+        for lease in self._pending:
             timeout = min(timeout, lease.not_before - now)
         for worker in busy:
             if worker.lease is not None and worker.lease.deadline is not None:
                 timeout = min(timeout, worker.lease.deadline - now)
         return max(0.0, timeout)
 
-    def _collect(
-        self, worker, results, pending, retry, degrade, run_inline
-    ) -> None:
+    def _collect(self, worker: _Worker) -> None:
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            self._on_death(worker, results, pending, retry, degrade, run_inline)
+            self._on_death(worker)
             return
-        kind, lease_index, attempt = message[:3]
+        kind, index, attempt = message[:3]
         lease = worker.lease
-        if (
-            lease is None
-            or lease.index != lease_index
-            or lease.attempt != attempt
-        ):
+        if lease is None or lease.index != index or lease.attempt != attempt:
             return  # stale result from a superseded attempt; drop it
-        if kind == "ok":
-            verdicts, stats = message[3:]
-            if len(verdicts) != lease.n_faults:
-                self._stats.corrupt_chunks += 1
-                worker.lease = None
-                self._retry_or_degrade(
-                    lease,
-                    f"corrupt chunk: {len(verdicts)} verdicts for "
-                    f"{lease.n_faults} faults",
-                    results, pending, retry, degrade, run_inline,
-                )
-                return
-            worker.lease = None
-            results[lease.index] = (verdicts, stats)
-            return
-        retryable, message_text = message[3:]
         worker.lease = None
-        if not retryable:
-            raise RuntimeError(message_text)
-        self._stats.chunk_errors += 1
-        self._retry_or_degrade(
-            lease, message_text, results, pending, retry, degrade, run_inline
-        )
+        if kind == "err":
+            self._stats.chunk_errors += 1
+            self._retry_or_degrade(lease, message[3])
+            return
+        result, stats = message[3:]
+        if len(result) != lease.size:
+            self._stats.corrupt_chunks += 1
+            self._retry_or_degrade(
+                lease,
+                f"corrupt chunk: {len(result)} results for {lease.size} items",
+            )
+            return
+        self._results[lease.index] = (result, stats)
 
-    def _reap(self, results, pending, retry, degrade, run_inline) -> None:
+    def _reap(self) -> None:
         now = time.monotonic()
         for worker in list(self._workers):
             lease = worker.lease
             if not worker.process.is_alive():
-                self._on_death(
-                    worker, results, pending, retry, degrade, run_inline
-                )
+                self._on_death(worker)
             elif (
                 lease is not None
                 and lease.deadline is not None
@@ -838,17 +549,13 @@ class _SupervisedPool:
                 # Hung worker: only termination can reclaim the lease.
                 self._stats.timeouts += 1
                 worker.lease = None
-                self._discard(worker, terminate=True)
-                self._respawn()
+                self._replace(worker)
                 self._retry_or_degrade(
                     lease,
-                    f"chunk deadline exceeded ({retry.timeout:.3f}s)",
-                    results, pending, retry, degrade, run_inline,
+                    f"chunk deadline exceeded ({self._retry.timeout:.3f}s)",
                 )
 
-    def _on_death(
-        self, worker, results, pending, retry, degrade, run_inline
-    ) -> None:
+    def _on_death(self, worker: _Worker) -> None:
         self._stats.crashes += 1
         lease = worker.lease
         worker.lease = None
@@ -856,27 +563,23 @@ class _SupervisedPool:
         self._respawn()
         if lease is not None:
             self._retry_or_degrade(
-                lease,
-                f"worker crashed (exit code {worker.process.exitcode})",
-                results, pending, retry, degrade, run_inline,
+                lease, f"worker crashed (exit code {worker.process.exitcode})"
             )
 
-    def _retry_or_degrade(
-        self, lease, reason, results, pending, retry, degrade, run_inline
-    ) -> None:
+    def _retry_or_degrade(self, lease: ChunkLease, reason: str) -> None:
         now = time.monotonic()
         if lease.dispatched_at:
             self._stats.lost_seconds += max(0.0, now - lease.dispatched_at)
         lease.last_error = reason
-        if lease.attempt >= retry.max_attempts:
-            self._degrade(lease, results, degrade, run_inline)
+        if lease.attempt >= self._retry.max_attempts:
+            self._degrade(lease)
             return
         self._stats.retries += 1
-        lease.not_before = now + retry.backoff(lease.attempt)
-        pending.append(lease)
+        lease.not_before = now + self._retry.backoff(lease.attempt)
+        self._pending.append(lease)
 
-    def _degrade(self, lease, results, degrade, run_inline) -> None:
-        if not degrade:
+    def _degrade(self, lease: ChunkLease) -> None:
+        if not self._degrade_ok:
             raise ChunkExhaustedError(
                 f"{lease.describe()} failed after {lease.attempt} "
                 f"attempt(s) with degradation disabled: {lease.last_error} "
@@ -884,82 +587,58 @@ class _SupervisedPool:
                 "chunks in-process, or raise --max-retries)"
             )
         self._stats.degraded_chunks += 1
-        results[lease.index] = (run_inline(lease), None)
+        self._results[lease.index] = (self._run_inline(lease), None)
 
 
-class CampaignRunner:
-    """Shards per-class fault lists across supervised worker processes.
+class SupervisedRunner:
+    """A lazily built, supervised worker pool behind one generic map.
 
-    The pool is created lazily on the first class large enough to
-    shard and reused for every subsequent class — and, through the
-    incremental binding, every subsequent *campaign* — so worker
-    startup **and** per-context construction are amortized across
-    everything the runner executes.  Classes smaller than
-    ``min_chunk * 2`` run inline through the runner's own context
-    cache.
-
-    Dispatched chunks are supervised leases: worker crashes, hangs
-    past ``retry.timeout`` and corrupt results are retried up to
-    ``retry.max_attempts`` times with exponential backoff on
+    :meth:`map` applies a module-level function to the chunks of a
+    picklable task on up to ``jobs`` worker processes.  Dispatched
+    chunks are supervised leases: worker crashes, hangs past
+    ``retry.timeout``, corrupt results and raising chunks are retried
+    up to ``retry.max_attempts`` times with exponential backoff on
     respawned workers, then degraded to in-process execution (set
-    ``degrade=False`` to raise instead); the accounting is drained per
-    campaign via :meth:`take_fault_stats`.  An optional *chaos* plan
+    ``degrade=False`` to raise instead); the accounting is drained via
+    :meth:`take_fault_stats`.  An optional *chaos* plan
     (:class:`~repro.engine.chaos.FaultPlan`) injects deterministic
     worker faults for tests and benchmarks.
 
-    A runner is reusable: pass it to several ``run_campaign`` calls
-    (e.g. one per oracle mode) via ``run_campaign(..., runner=...)``.
-    Bind every mode's work unit up front —
-    ``runner.bind([w1, w2, w3], universe)`` — and the pool, its
-    workers and their warm context caches survive across the whole
-    mixed-mode run; re-binding with a different universe or new works
-    ships only the diff to the live workers (the pool is never
-    restarted for a re-bind).
+    The pool is built on the first map with at least two chunks and
+    reused until :meth:`close`; if it cannot be built at all, the
+    runner latches to in-process execution for its remaining lifetime.
     """
 
     def __init__(
         self,
-        engine: "str | Engine | None" = None,
         jobs: int = 1,
         *,
-        chunks_per_job: int = 4,
-        min_chunk: int = 64,
-        max_contexts: int = 16,
         retry: "RetryPolicy | None" = None,
         chaos: "FaultPlan | None" = None,
         degrade: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.engine = get_engine(engine)
-        # An unregistered engine instance cannot be rehydrated by name
-        # in a worker; run it inline instead of crashing mid-campaign.
-        self.jobs = jobs if self.engine.name in engine_names() else 1
-        self.chunks_per_job = chunks_per_job
-        self.min_chunk = min_chunk
+        self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = chaos
         self.degrade = degrade
         self._context = _pool_context()
+        self._state: object = None
         self._pool: "_SupervisedPool | None" = None
         self._pool_broken = False
-        self._cache = ContextCache(self.engine, max_contexts)
-        self._worker_stats = ContextStats()
         self._fault_stats = FaultToleranceStats()
-        self._store = _BindingStore()
-        self._generation = 0
-        self._bound_refs: dict[str, Sequence] = {}
+        self._worker_stats = ContextStats()
 
     # -- lifecycle -----------------------------------------------------
-    def __enter__(self) -> "CampaignRunner":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
     def close(self) -> None:
-        """Shut down the pool, drop the binding and the runner's own
-        cached contexts (counters survive for a final take_stats).
+        """Shut down the pool (counters survive for a final drain).
 
         Idempotent and exception-safe: teardown failures — a pool
         whose workers already died, an interpreter mid-shutdown — are
@@ -974,229 +653,52 @@ class CampaignRunner:
         finally:
             self._pool = None
             self._pool_broken = False
-        try:
-            self._store = _BindingStore()
-            self._bound_refs = {}
-            self._cache.clear()
-        except Exception:
-            pass
-
-    # -- statistics ----------------------------------------------------
-    def take_stats(self) -> ContextStats:
-        """Context-cache counter increments since the previous call:
-        the runner's inline cache plus every worker delta returned with
-        the chunks in between.  ``run_campaign`` calls this once per
-        campaign, so shared runners report per-campaign stats."""
-        stats = self._worker_stats
-        self._worker_stats = ContextStats()
-        return stats.merge(self._cache.take_stats())
 
     def take_fault_stats(self) -> FaultToleranceStats:
         """Fault-tolerance counter increments since the previous call
-        (retries, respawns, degradations, lost wall-clock) —
-        ``run_campaign`` drains this into
-        ``CampaignReport.fault_tolerance`` per campaign."""
+        (retries, respawns, degradations, lost wall-clock)."""
         stats = self._fault_stats.copy()
         # Reset in place: the live pool keeps accounting into the same
         # object, so the drain must not swap it out from under it.
         self._fault_stats.reset()
         return stats
 
-    # -- binding -------------------------------------------------------
-    def bind(self, work, universe: "dict[str, Sequence[Fault]]") -> None:
-        """Bind a campaign — or, given a sequence of work units, a
-        whole mixed-mode run — so forked workers inherit the works and
-        fault classes copy-on-write and chunks travel as bare
-        ``(work_key, class, gen, start, stop)`` messages.
-
-        Binding is **incremental**: re-binding the same works and
-        universe is a no-op, and binding new works or changed classes
-        while the pool is alive ships only the per-class diff to each
-        worker over its pipe — the pool, its processes and their warm
-        context caches survive every re-bind.  Respawned workers
-        inherit the runner's full current store at fork, so diffs and
-        respawns compose.  Without a fork-capable platform (or with
-        ``jobs=1``) the binding is recorded for diffing only: chunks
-        then carry their pickled work unit and fault list, which is
-        merely slower, not wrong (contexts are still cached per
-        worker).
-        """
-        if self.jobs == 1:
-            # Inline execution has no pool to keep warm and never
-            # consults the binding — its context cache survives any
-            # re-bind on its own, so recording anything would only
-            # cost the universe copy and per-campaign comparison.
-            return
-        works = list(work) if isinstance(work, (list, tuple)) else [work]
-        # work_key embodies every field of a (frozen) work unit, so
-        # key presence is value equality.
-        works_diff = {
-            work_key(w): w
-            for w in works
-            if work_key(w) not in self._store.works
-        }
-        classes_diff = {
-            name: faults
-            for name, faults in universe.items()
-            if not self._class_matches(name, faults)
-        }
-        drops = [name for name in self._store.classes if name not in universe]
-        if not works_diff and not classes_diff and not drops:
-            return  # already bound — keep pool and warm caches
-        self._generation += 1
-        gens: dict[str, int] = {}
-        normalized: dict[str, Sequence] = {}
-        for name, faults in classes_diff.items():
-            # Streaming FaultClass descriptors are bound as-is — they
-            # are tiny, index-addressable and picklable, so workers
-            # never need (and the parent never builds) a materialized
-            # copy.
-            normalized[name] = (
-                faults if isinstance(faults, FaultClass) else list(faults)
-            )
-            gens[name] = self._generation
-        self._store.works.update(works_diff)
-        self._store.classes.update(normalized)
-        self._store.class_gen.update(gens)
-        for name in drops:
-            del self._store.classes[name]
-            del self._store.class_gen[name]
-        # The caller's original per-class sequences, for the identity
-        # short-circuit of the common same-universe re-bind.
-        self._bound_refs = dict(universe)
-        if self._pool is not None:
-            self._pool.broadcast_bind(works_diff, normalized, gens, drops)
-
-    def _class_matches(self, name: str, faults) -> bool:
-        bound = self._store.classes.get(name)
-        if bound is None:
-            return False
-        # Identity of the caller's sequences (the common case: one
-        # universe object reused across modes) makes the re-bind check
-        # O(classes); only genuinely new sequences pay the deep
-        # element-wise comparison.  FaultClass descriptors compare by
-        # enumeration spec — O(1), and never equal to a plain list, so
-        # swapping representations re-binds the class (correct, merely
-        # a one-class diff).
-        if self._bound_refs.get(name) is faults:
-            return True
-        if isinstance(bound, FaultClass) or isinstance(faults, FaultClass):
-            return bound == faults
-        return len(bound) == len(faults) and bound == list(faults)
-
-    @property
-    def _use_bound(self) -> bool:
-        return self._context.get_start_method() == "fork"
-
     # -- execution -----------------------------------------------------
-    def detect_class(
+    def map(
         self,
-        work,
-        faults: "Sequence[Fault]",
+        fn: "Callable[[object, int, int], Sequence]",
+        task: object,
+        bounds: "Sequence[tuple[int, int]]",
         *,
-        class_name: str | None = None,
-    ) -> list[bool]:
-        """Verdicts for one fault class as a plain per-fault list,
-        bit-identical to ``work.run(engine, faults)`` executed
-        sequentially (the packed pipeline, unpacked at the end)."""
-        return self.detect_class_packed(
-            work, faults, class_name=class_name
-        ).tolist()
+        label: str | None = None,
+        run_inline: "Callable[[int, int], Sequence] | None" = None,
+    ) -> list:
+        """``[fn(task, start, stop) for start, stop in bounds]``,
+        evaluated on the supervised pool.
 
-    def detect_class_packed(
-        self,
-        work,
-        faults: "Sequence[Fault]",
-        *,
-        class_name: str | None = None,
-    ) -> "PackedVerdicts | PackedPairVerdicts":
-        """Packed verdict bitset for one fault class, bit-identical to
-        ``work.run(engine, faults)`` executed sequentially.
-
-        When *class_name* names a class of a prior :meth:`bind` (and
-        the work unit was bound), the bound copies are what the workers
-        evaluate — the zero-copy fork path.  Streaming
-        :class:`~repro.memory.injection.FaultClass` descriptors always
-        run inline: their class kernels answer the whole class in a few
-        packed passes over state the workers would each have to rebuild,
-        so sharding them would multiply the context work it saves.
+        *fn* must be a module-level function (it pickles by reference)
+        returning one result per item of its range — the integrity
+        check compares ``len()`` — and *task* must pickle under spawn.
+        *run_inline* evaluates a range in-process for degraded chunks
+        (default: *fn* itself); *label* keys the chaos plan.  With
+        ``jobs=1`` or fewer than two chunks everything runs inline.
         """
-        key = work_key(work)
-        bound = (
-            self._use_bound
-            and self.jobs > 1
-            and class_name is not None
-            and class_name in self._store.classes
-            and key in self._store.works
-        )
-        if bound:
-            faults = self._store.classes[class_name]
-        elif not isinstance(faults, FaultClass):
-            faults = list(faults)
-        if (
-            isinstance(faults, FaultClass)
-            or self.jobs == 1
-            or len(faults) < 2 * self.min_chunk
-        ):
-            return self._run_inline(work, faults)
-        n_chunks = min(
-            self.jobs * self.chunks_per_job,
-            max(1, len(faults) // self.min_chunk),
-        )
-        bounds = shard_bounds(len(faults), n_chunks)
-        if len(bounds) <= 1:
-            return self._run_inline(work, faults)
-        pool = self._ensure_pool()
+        inline = run_inline or (lambda start, stop: fn(task, start, stop))
+        pool = self._ensure_pool() if self.jobs > 1 and len(bounds) > 1 else None
         if pool is None:
-            # Bottom rung of the degradation ladder: the pool cannot
-            # be (re)built, so the whole class runs as if jobs=1.
-            return self._run_inline(work, faults)
-        leases = []
-        for index, (start, stop) in enumerate(bounds):
-            if bound:
-                task = (
-                    "bound",
-                    key,
-                    class_name,
-                    self._store.class_gen[class_name],
-                    start,
-                    stop,
-                )
-            else:
-                task = ("direct", work, faults[start:stop])
-            leases.append(
-                ChunkLease(index, task, class_name, index, start, stop)
-            )
-
-        def run_inline(lease: ChunkLease):
-            chunk_faults = faults[lease.start:lease.stop]
-            ctx = self._cache.get(work)
-            return work.run_class(
-                self.engine, chunk_faults, context=ctx.payload
-            )
-
+            return [inline(start, stop) for start, stop in bounds]
+        leases = [
+            ChunkLease(index, task, label, index, start, stop)
+            for index, (start, stop) in enumerate(bounds)
+        ]
         parts = []
-        for chunk_verdicts, stats in pool.run_leases(
-            leases,
-            retry=self.retry,
-            chaos=self.chaos,
-            degrade=self.degrade,
-            run_inline=run_inline,
+        for result, stats in pool.run_leases(
+            fn, leases, lambda lease: inline(lease.start, lease.stop)
         ):
-            parts.append(chunk_verdicts)
+            parts.append(result)
             if stats is not None:
                 self._worker_stats.merge(stats)
-        merged = type(parts[0]).concat(parts)
-        if len(merged) != len(faults):
-            raise RuntimeError(
-                f"sharded class returned {len(merged)} verdicts for "
-                f"{len(faults)} faults; refusing to report truncated coverage"
-            )
-        return merged
-
-    def _run_inline(self, work, faults):
-        ctx = self._cache.get(work)
-        return work.run_class(self.engine, faults, context=ctx.payload)
+        return parts
 
     def _ensure_pool(self) -> "_SupervisedPool | None":
         if self._pool is not None:
@@ -1212,15 +714,148 @@ class CampaignRunner:
             self._pool = _SupervisedPool(
                 self.jobs,
                 self._context,
-                self.engine.name,
-                self._store,
+                self._state,
                 self._fault_stats,
+                self.retry,
+                self.chaos,
+                self.degrade,
             )
         except Exception:
             # The fabric itself cannot come up (fork failures, fd
             # exhaustion): degrade this runner to inline execution for
-            # its remaining lifetime instead of aborting campaigns.
+            # its remaining lifetime instead of aborting the run.
             self._pool = None
             self._pool_broken = True
             self._fault_stats.pool_failures += 1
         return self._pool
+
+
+class CampaignRunner(SupervisedRunner):
+    """Evaluates fault classes through flows, sharding large ones.
+
+    Materialized classes of at least ``min_chunk * 2`` faults that a
+    prior :meth:`bind` snapshotted are split into contiguous chunks and
+    mapped over the supervised pool; everything else — small classes,
+    streaming :class:`~repro.memory.injection.FaultClass` descriptors
+    (whose packed class kernels answer the whole class in a few passes
+    over state each worker would have to rebuild), unbound classes —
+    runs inline through the runner's own context cache.
+
+    A runner is reusable: pass it to several ``run_campaign`` calls
+    (e.g. one per oracle mode) via ``run_campaign(..., runner=...)``.
+    Bind every mode's flow up front — ``runner.bind([f1, f2, f3],
+    universe)`` — and the pool, its workers and their warm context
+    caches survive across the whole mixed-mode run.
+    """
+
+    def __init__(
+        self,
+        engine: "str | Engine | None" = None,
+        jobs: int = 1,
+        *,
+        chunks_per_job: int = 4,
+        min_chunk: int = 64,
+        max_contexts: int = 16,
+        retry: "RetryPolicy | None" = None,
+        chaos: "FaultPlan | None" = None,
+        degrade: bool = True,
+    ) -> None:
+        super().__init__(jobs, retry=retry, chaos=chaos, degrade=degrade)
+        self.engine = get_engine(engine)
+        # Workers rehydrate the engine by name and inherit the bound
+        # classes at fork: an unregistered engine instance, or a
+        # platform without fork, runs inline instead.
+        if (
+            self.engine.name not in engine_names()
+            or self._context.get_start_method() != "fork"
+        ):
+            self.jobs = 1
+        self.chunks_per_job = chunks_per_job
+        self.min_chunk = min_chunk
+        self._cache = ContextCache(self.engine, max_contexts)
+        self._state = (self.engine.name, {}, {})
+
+    def close(self) -> None:
+        """Shut down the pool, drop the snapshot and the runner's own
+        cached contexts (counters survive for a final take_stats)."""
+        super().close()
+        self._state = (self.engine.name, {}, {})
+        self._cache.clear()
+
+    def take_stats(self) -> ContextStats:
+        """Context-cache counter increments since the previous call:
+        the runner's inline cache plus every worker delta returned with
+        the chunks in between.  ``run_campaign`` calls this once per
+        campaign, so shared runners report per-campaign stats."""
+        stats = self._worker_stats
+        self._worker_stats = ContextStats()
+        return stats.merge(self._cache.take_stats())
+
+    def bind(self, flows, universe: "dict[str, Sequence[Fault]]") -> None:
+        """Snapshot a campaign's flow — or, given a sequence of flows,
+        a whole mixed-mode run — and its materialized fault classes
+        for the workers to inherit at fork.
+
+        A no-op when the snapshot already holds every flow and the
+        very same class objects (so a shared runner keeps its pool and
+        warm caches across campaigns); otherwise the snapshot is
+        replaced and the pool closed, to be re-forked lazily.
+        Streaming class descriptors never shard and are not recorded.
+        """
+        if self.jobs == 1:
+            return
+        flows = list(flows) if isinstance(flows, (list, tuple)) else [flows]
+        engine_name, bound_flows, bound_classes = self._state
+        classes = {
+            name: faults
+            for name, faults in universe.items()
+            if not isinstance(faults, FaultClass)
+        }
+        if all(work_key(flow) in bound_flows for flow in flows) and all(
+            bound_classes.get(name) is faults for name, faults in classes.items()
+        ):
+            return
+        self._state = (
+            engine_name,
+            {work_key(flow): flow for flow in flows},
+            classes,
+        )
+        super().close()
+
+    def detect_class_packed(
+        self,
+        flow,
+        faults: "Sequence[Fault]",
+        *,
+        class_name: str | None = None,
+    ) -> "PackedVerdicts | PackedPairVerdicts":
+        """Packed verdict bitset for one fault class, bit-identical to
+        ``flow.run_class(engine, faults)`` executed inline."""
+        if (
+            self.jobs == 1
+            or isinstance(faults, FaultClass)
+            or len(faults) < 2 * self.min_chunk
+        ):
+            return self._run_inline(flow, faults)
+        _, bound_flows, bound_classes = self._state
+        key = work_key(flow)
+        if key not in bound_flows or bound_classes.get(class_name) is not faults:
+            return self._run_inline(flow, faults)
+        bounds = shard_bounds(
+            len(faults),
+            min(self.jobs * self.chunks_per_job, len(faults) // self.min_chunk),
+        )
+        parts = self.map(
+            _run_fault_chunk,
+            (key, class_name),
+            bounds,
+            label=class_name,
+            run_inline=lambda start, stop: self._run_inline(
+                flow, faults[start:stop]
+            ),
+        )
+        return type(parts[0]).concat(parts)
+
+    def _run_inline(self, flow, faults):
+        ctx = self._cache.get(flow)
+        return flow.run_class(self.engine, faults, context=ctx.payload)

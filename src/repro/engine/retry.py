@@ -10,7 +10,7 @@ for everything the supervisor had to do about it, end to end:
 chaos benchmark leg all read these counters.
 
 Retries are safe by the determinism contract: a chunk is a pure
-function of ``(work, class, start, stop)``, so a re-dispatched attempt
+function of ``(fn, task, start, stop)``, so a re-dispatched attempt
 produces the same verdicts bit for bit, and a recovered campaign is
 bit-identical to an undisturbed one.
 """

@@ -4,15 +4,13 @@ Stochastic fault arrivals (:mod:`arrivals`), streaming LFSR traffic
 (:mod:`workload`), degradation-aware periodic scheduling on top of the
 BIST session stepper (:mod:`scheduler`), scenario specs and matrices
 (:mod:`scenario`), and supervised, checkpointable scenario sweeps
-through the campaign fabric (:mod:`campaign`).
+through the engine's supervised worker map (:mod:`campaign`).
 """
 
 from .arrivals import FLAVORS, ArrivalSpec, FaultEpisode, FaultTimeline
 from .campaign import (
-    ScenarioVerdicts,
     SoakCampaignReport,
     SoakCheckpoint,
-    SoakWork,
     matrix_fingerprint,
     run_soak_campaign,
 )
@@ -40,14 +38,12 @@ __all__ = [
     "FaultEpisode",
     "FaultTimeline",
     "LfsrWorkload",
-    "ScenarioVerdicts",
     "SoakCampaignReport",
     "SoakCheckpoint",
     "SoakReport",
     "SoakScenario",
     "SoakSchedule",
     "SoakScheduler",
-    "SoakWork",
     "TestRung",
     "matrix_fingerprint",
     "run_scenario",

@@ -1,13 +1,14 @@
-"""Soak scenario matrices through the supervised campaign fabric.
+"""Soak scenario matrices through the supervised worker map.
 
-Scenario sweeps ride the exact machinery every other campaign uses:
-:class:`SoakWork` is a work unit in the
-:class:`~repro.engine.parallel.CampaignRunner` sense (``context_key`` /
-``build_context`` / ``run_class``), a scenario list is its "fault
-class", and :class:`ScenarioVerdicts` is its packed result container —
-so soak sweeps are sharded across persistent workers, lease-supervised
-(crash/hang/corrupt detection, bounded retries, chaos injection) and
-merge deterministically: ``jobs=N`` is bit-identical to ``jobs=1``.
+Scenario sweeps are a plain client of
+:meth:`~repro.engine.parallel.SupervisedRunner.map`: each batch of the
+matrix is split into contiguous scenario slices, every slice runs in a
+worker through the module-level :func:`_run_scenarios`, and the
+reports merge back in matrix order — so soak sweeps are sharded,
+lease-supervised (crash/hang/corrupt detection, bounded retries, chaos
+injection keyed by ``soak``) and deterministic: ``jobs=N`` is
+bit-identical to ``jobs=1``.  Scenarios travel by value, so sweeps
+shard on fork and spawn platforms alike.
 
 On top of that sits **checkpoint/resume**: the driver runs the matrix
 in batches, writing a JSON checkpoint (scenario-name -> report, plus a
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from ..engine.parallel import CampaignRunner
+from ..engine.parallel import SupervisedRunner, shard_bounds
 from .scenario import SoakReport, SoakScenario, run_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,54 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_BATCH = 4
 
 
-@dataclass(frozen=True)
-class ScenarioVerdicts:
-    """Packed result container for a sharded scenario chunk.
-
-    The campaign fabric only needs ``len()`` (integrity check: one
-    verdict per input) and ``concat`` (deterministic in-order merge).
-    """
-
-    reports: tuple[SoakReport, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def tolist(self) -> list[SoakReport]:
-        return list(self.reports)
-
-    @classmethod
-    def concat(
-        cls, parts: "Sequence[ScenarioVerdicts]"
-    ) -> "ScenarioVerdicts":
-        reports: list[SoakReport] = []
-        for part in parts:
-            reports.extend(part.reports)
-        return cls(tuple(reports))
-
-
-@dataclass(frozen=True)
-class SoakWork:
-    """The soak work unit: evaluates scenarios, ignores the engine.
-
-    Scenarios carry their whole context by value, so there is nothing
-    to amortize per worker — ``build_context`` returns ``None`` and the
-    context cache simply remembers the probe.
-    """
-
-    def context_key(self) -> tuple:
-        return ("soak",)
-
-    def build_context(self, engine) -> object:
-        return None
-
-    def run(self, engine, scenarios, context=None) -> ScenarioVerdicts:
-        return self.run_class(engine, scenarios, context=context)
-
-    def run_class(self, engine, scenarios, context=None) -> ScenarioVerdicts:
-        return ScenarioVerdicts(
-            tuple(run_scenario(scenario) for scenario in scenarios)
-        )
+def _run_scenarios(
+    scenarios: Sequence[SoakScenario], start: int, stop: int
+) -> list[SoakReport]:
+    """One scenario chunk (module-level, so workers receive it by
+    reference)."""
+    return [run_scenario(scenario) for scenario in scenarios[start:stop]]
 
 
 def matrix_fingerprint(scenarios: Sequence[SoakScenario]) -> str:
@@ -124,23 +83,48 @@ class SoakCheckpoint:
         self.reports: dict[str, SoakReport] = {}
 
     def load(self) -> int:
-        """Read banked reports; returns how many were resumed.  A
-        checkpoint written for a different matrix is rejected loudly —
-        resuming it would silently splice unrelated results."""
+        """Read banked reports; returns how many were resumed.
+
+        A checkpoint written for a different matrix is rejected loudly
+        — resuming it would silently splice unrelated results — and so
+        is a file that does not parse as a checkpoint: either way one
+        :class:`ValueError` names the file and what is wrong with it.
+        """
         if not self.path.exists():
             return 0
-        payload = json.loads(self.path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(self.path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise self._malformed(f"not readable JSON ({error})") from None
+        if not isinstance(payload, dict):
+            raise self._malformed(
+                f"top level is a {type(payload).__name__}, expected an object"
+            )
         if payload.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 f"checkpoint {self.path} was written for a different "
                 "scenario matrix (fingerprint mismatch); delete it or "
                 "point --checkpoint elsewhere"
             )
-        self.reports = {
-            name: SoakReport.from_dict(report)
-            for name, report in payload["reports"].items()
-        }
+        reports = payload.get("reports")
+        if not isinstance(reports, dict):
+            found = "missing" if reports is None else f"a {type(reports).__name__}"
+            raise self._malformed(f"'reports' is {found}, expected an object")
+        self.reports = {}
+        for name, report in reports.items():
+            try:
+                self.reports[name] = SoakReport.from_dict(report)
+            except (KeyError, TypeError, ValueError, AttributeError) as error:
+                detail = (
+                    f"missing field {error}"
+                    if isinstance(error, KeyError)
+                    else f"{type(error).__name__}: {error}"
+                )
+                raise self._malformed(f"report {name!r}: {detail}") from None
         return len(self.reports)
+
+    def _malformed(self, detail: str) -> ValueError:
+        return ValueError(f"checkpoint {self.path} is malformed: {detail}")
 
     def bank(self, reports: Sequence[SoakReport]) -> None:
         for report in reports:
@@ -166,7 +150,6 @@ def run_soak_campaign(
     retry: "RetryPolicy | None" = None,
     chaos: "FaultPlan | None" = None,
     degrade: bool = True,
-    runner: CampaignRunner | None = None,
     checkpoint: Path | str | None = None,
     batch_size: int = DEFAULT_BATCH,
     max_batches: int | None = None,
@@ -195,42 +178,30 @@ def run_soak_campaign(
     done = dict(bank.reports) if bank is not None else {}
     pending = [s for s in scenarios if s.name not in done]
     batches = [
-        pending[i : i + batch_size]
+        tuple(pending[i : i + batch_size])
         for i in range(0, len(pending), batch_size)
     ]
 
-    work = SoakWork()
-    own_runner = runner is None
-    if own_runner:
-        # min_chunk=1: scenario lists are short but each element is a
-        # whole simulated uptime, so even a handful shards profitably.
-        runner = CampaignRunner(
-            "reference",
-            jobs,
-            min_chunk=1,
-            chunks_per_job=1,
-            retry=retry,
-            chaos=chaos,
-            degrade=degrade,
-        )
     completed = True
-    try:
+    # One chunk per job: each scenario is a whole simulated uptime, so
+    # even a short batch shards profitably.
+    with SupervisedRunner(jobs, retry=retry, chaos=chaos, degrade=degrade) as runner:
         for ordinal, batch in enumerate(batches):
             if max_batches is not None and ordinal >= max_batches:
                 completed = False
                 break
-            runner.bind(work, {"soak": batch})
-            verdicts = runner.detect_class_packed(
-                work, batch, class_name="soak"
+            parts = runner.map(
+                _run_scenarios,
+                batch,
+                shard_bounds(len(batch), jobs),
+                label="soak",
             )
-            for report in verdicts.tolist():
+            reports = [report for part in parts for report in part]
+            for report in reports:
                 done[report.scenario] = report
             if bank is not None:
-                bank.bank(verdicts.tolist())
+                bank.bank(reports)
         fault_stats = runner.take_fault_stats()
-    finally:
-        if own_runner:
-            runner.close()
 
     reports = [done[name] for name in names if name in done]
     return SoakCampaignReport(

@@ -7,6 +7,7 @@ report **bit-identical** to an undisturbed ``jobs=1`` run, with every
 intervention accounted in ``CampaignReport.fault_tolerance``.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.engine import (
 from repro.engine import parallel as parallel_module
 from repro.library import catalog
 from repro.memory.injection import standard_fault_universe
+from repro.soak import run_soak_campaign, scenario_matrix
 
 # Fast per-attempt deadline for hang tests: long enough that a healthy
 # chunk (milliseconds) never trips it on a loaded CI host, short
@@ -301,9 +303,8 @@ class TestDegradationLadder:
         runner = sharded_runner()
         universe = materialized_universe(classes=("SAF",))
         flow = make_flow()
-        work = flow.work_unit()
-        runner.bind(work, universe)
-        runner.detect_class(work, universe["SAF"], class_name="SAF")
+        runner.bind(flow, universe)
+        runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
         runner.close()
         runner.close()  # second close is a no-op, not an error
         assert runner._pool is None
@@ -312,9 +313,8 @@ class TestDegradationLadder:
         runner = sharded_runner()
         universe = materialized_universe(classes=("SAF",))
         flow = make_flow()
-        work = flow.work_unit()
-        runner.bind(work, universe)
-        runner.detect_class(work, universe["SAF"], class_name="SAF")
+        runner.bind(flow, universe)
+        runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
         # Kill the workers behind the supervisor's back; close() must
         # still succeed (a dead pool never masks the original error).
         for worker in runner._pool._workers:
@@ -324,55 +324,83 @@ class TestDegradationLadder:
         runner.close()
 
 
+def per_fault(flow, faults):
+    """The batch engine's per-fault compare verdicts: the list sharded
+    classes must reproduce."""
+    return get_engine("batch").detect_batch(
+        flow.test, flow.n_words, flow.width, flow.words, faults
+    )
+
+
 class TestIncrementalBind:
     def test_rebinding_different_universe_keeps_pool(self):
         if parallel_module._pool_context().get_start_method() != "fork":
             pytest.skip("zero-copy binding requires fork")
         flow = make_flow()
-        work = flow.work_unit()
-        engine = get_engine("batch")
         first = materialized_universe(classes=("SAF", "TF"))
         second = {"SAF": first["SAF"][:16]}  # changed class + dropped one
         with sharded_runner() as runner:
-            runner.bind(work, first)
-            assert runner.detect_class(
-                work, first["SAF"], class_name="SAF"
-            ) == work.run(engine, first["SAF"])
-            pids = runner._pool.worker_pids()
-            assert len(pids) == 2
-            # Re-binding a different universe ships a diff, not a new
-            # pool: same worker processes, correct new verdicts.
-            runner.bind(work, second)
-            assert runner.detect_class(
-                work, second["SAF"], class_name="SAF"
-            ) == work.run(engine, second["SAF"])
-            assert runner._pool.worker_pids() == pids
+            runner.bind(flow, first)
+            assert runner.detect_class_packed(
+                flow, first["SAF"], class_name="SAF"
+            ).tolist() == per_fault(flow, first["SAF"])
+            runner.bind(flow, second)
+            assert runner.detect_class_packed(
+                flow, second["SAF"], class_name="SAF"
+            ).tolist() == per_fault(flow, second["SAF"])
 
     def test_rebinding_same_universe_is_noop(self):
         flow = make_flow()
-        work = flow.work_unit()
         universe = materialized_universe(classes=("SAF",))
         with sharded_runner() as runner:
-            runner.bind(work, universe)
-            generation = runner._generation
-            runner.bind(work, universe)  # same object: identity match
-            runner.bind(work, {"SAF": list(universe["SAF"])})  # equal copy
-            assert runner._generation == generation
+            runner.bind(flow, universe)
+            runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
+            pids = runner._pool.worker_pids()
+            runner.bind(flow, universe)  # same object: identity match
+            runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
+            assert runner._pool.worker_pids() == pids
 
     def test_mixed_campaigns_after_rebind_stay_correct(self):
         flow = make_flow()
-        work = flow.work_unit()
-        engine = get_engine("batch")
         first = materialized_universe(classes=("SAF", "TF"))
         with sharded_runner() as runner:
-            runner.bind(work, first)
+            runner.bind(flow, first)
             for name in first:
-                assert runner.detect_class(
-                    work, first[name], class_name=name
-                ) == work.run(engine, first[name]), name
+                assert runner.detect_class_packed(
+                    flow, first[name], class_name=name
+                ).tolist() == per_fault(flow, first[name]), name
             second = materialized_universe(seed=23, classes=("SAF", "TF"))
-            runner.bind(work, second)
+            runner.bind(flow, second)
             for name in second:
-                assert runner.detect_class(
-                    work, second[name], class_name=name
-                ) == work.run(engine, second[name]), name
+                assert runner.detect_class_packed(
+                    flow, second[name], class_name=name
+                ).tolist() == per_fault(flow, second[name]), name
+
+
+def test_spawn_platform_runs_campaigns_inline_and_shards_soak(monkeypatch):
+    # Without fork, workers cannot inherit bound fault classes, so
+    # campaigns run inline; soak chunks carry their scenarios by value
+    # and still shard (the injected crash proves a worker ran chunk 0).
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(parallel_module, "_pool_context", lambda: spawn)
+    universe = materialized_universe(classes=("SAF", "TF"))
+    flow = make_flow()
+    with sharded_runner() as runner:
+        assert runner.jobs == 1
+        report = run_campaign(flow, universe, runner=runner)
+    assert report.jobs == 1
+    reports_equal(run_campaign(flow, universe, engine="batch", jobs=1), report)
+
+    matrix = scenario_matrix(
+        geometries=((8, 8),), rates=(2.0, 4.0), cycles=4_000, seed=1
+    )
+    inline = run_soak_campaign(matrix, jobs=1)
+    sharded = run_soak_campaign(
+        matrix,
+        jobs=2,
+        chaos=FaultPlan.parse("crash:soak:0"),
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+    )
+    assert sharded.reports == inline.reports
+    assert sharded.fault_tolerance.crashes == 1
+    assert sharded.fault_tolerance.degraded_chunks == 0

@@ -79,22 +79,21 @@ class TestContextCache:
         engine = get_engine("batch")
         cache = ContextCache(engine)
         for name, flow in _flows(twm).items():
-            work = flow.work_unit()
             faults = universe["CFst-intra"]
-            cold = work.run(engine, faults)
-            ctx = cache.get(work)
-            warm = work.run(engine, faults, context=ctx.payload)
-            again = work.run(
-                engine, faults, context=cache.get(work).payload
+            cold = flow.run_class(engine, faults)
+            ctx = cache.get(flow)
+            warm = flow.run_class(engine, faults, context=ctx.payload)
+            again = flow.run_class(
+                engine, faults, context=cache.get(flow).payload
             )
-            assert cold == warm == again, name
+            assert cold.tolist() == warm.tolist() == again.tolist(), name
 
     def test_hit_miss_build_counters(self, twm):
         cache = ContextCache(get_engine("batch"))
-        work = _flows(twm)["signature"].work_unit()
-        ctx = cache.get(work)
+        flow = _flows(twm)["signature"]
+        ctx = cache.get(flow)
         assert ctx.payload is not None
-        assert cache.get(work) is ctx
+        assert cache.get(flow) is ctx
         stats = cache.stats
         assert (stats.builds, stats.hits, stats.misses) == (1, 1, 1)
         assert stats.build_seconds >= 0.0
@@ -111,17 +110,17 @@ class TestContextCache:
         other_width = compare_flow(wider.twmarch, N_WORDS, 16, initial=3)
         signature = _flows(twm)["signature"]
         keys = {
-            compare.work_unit().context_key(),
-            other_words.work_unit().context_key(),
-            other_width.work_unit().context_key(),
-            signature.work_unit().context_key(),
+            compare.context_key(),
+            other_words.context_key(),
+            other_width.context_key(),
+            signature.context_key(),
         }
         assert len(keys) == 4
 
     def test_signature_and_aliasing_share_one_session_context(self, twm):
         flows = _flows(twm)
-        sig = flows["signature"].work_unit()
-        ali = flows["aliasing"].work_unit()
+        sig = flows["signature"]
+        ali = flows["aliasing"]
         # Same context (the session state is oracle-agnostic)...
         assert sig.context_key() == ali.context_key()
         # ...but distinct dispatch identities (different verdict types).
@@ -135,19 +134,19 @@ class TestContextCache:
     def test_eviction_rebuilds_correctly(self, twm, universe):
         engine = get_engine("batch")
         cache = ContextCache(engine, max_contexts=1)
-        a = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=3).work_unit()
-        b = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=5).work_unit()
+        a = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=3)
+        b = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=5)
         faults = universe["SAF"]
-        first = a.run(engine, faults, context=cache.get(a).payload)
+        first = a.run_class(engine, faults, context=cache.get(a).payload)
         cache.get(b)  # evicts a
         assert len(cache) == 1
-        rebuilt = a.run(engine, faults, context=cache.get(a).payload)
-        assert first == rebuilt
+        rebuilt = a.run_class(engine, faults, context=cache.get(a).payload)
+        assert first.tolist() == rebuilt.tolist()
         assert cache.stats.misses == 3  # a, b, a again
 
     def test_reference_engine_has_nothing_to_amortize(self, twm):
         cache = ContextCache(get_engine("reference"))
-        ctx = cache.get(_flows(twm)["compare"].work_unit())
+        ctx = cache.get(_flows(twm)["compare"])
         assert ctx.payload is None
         assert cache.stats.builds == 0
         assert cache.stats.misses == 1
@@ -155,11 +154,11 @@ class TestContextCache:
     def test_mismatched_context_is_rejected(self, twm, universe):
         engine = get_engine("batch")
         cache = ContextCache(engine)
-        a = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=3).work_unit()
-        b = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=5).work_unit()
+        a = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=3)
+        b = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=5)
         wrong = cache.get(a).payload
         with pytest.raises(ExecutionError, match="context"):
-            b.run(engine, universe["SAF"], context=wrong)
+            b.run_class(engine, universe["SAF"], context=wrong)
 
     def test_context_for_other_test_is_rejected(self, twm, universe):
         engine = get_engine("batch")
@@ -167,14 +166,14 @@ class TestContextCache:
         # Same width, geometry and words — only the march differs.
         mine = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=3)
         theirs = compare_flow(other.twmarch, N_WORDS, WIDTH, initial=3)
-        wrong = ContextCache(engine).get(theirs.work_unit()).payload
+        wrong = ContextCache(engine).get(theirs).payload
         with pytest.raises(ExecutionError, match="context"):
-            mine.work_unit().run(engine, universe["SAF"], context=wrong)
+            mine.run_class(engine, universe["SAF"], context=wrong)
 
     def test_session_context_for_other_prediction_is_rejected(self, twm):
         engine = get_engine("batch")
         flows = _flows(twm)
-        sig = flows["signature"].work_unit()
+        sig = flows["signature"]
         ctx = ContextCache(engine).get(sig).payload
         with pytest.raises(ExecutionError, match="prediction|MISR"):
             engine.detect_signature_batch(
@@ -208,9 +207,7 @@ class TestPersistentWorkers:
             for mode, flow in flows.items()
         }
         with CampaignRunner("batch", 4, min_chunk=8) as runner:
-            runner.bind(
-                [flow.work_unit() for flow in flows.values()], universe
-            )
+            runner.bind(list(flows.values()), universe)
             shared = {
                 mode: run_campaign(flow, universe, runner=runner)
                 for mode, flow in flows.items()
@@ -235,7 +232,7 @@ class TestPersistentWorkers:
     def test_warm_second_campaign_is_amortized(self, twm, universe):
         flow = _flows(twm)["compare"]
         with CampaignRunner("batch", 2, min_chunk=8) as runner:
-            runner.bind(flow.work_unit(), universe)
+            runner.bind(flow, universe)
             cold = run_campaign(flow, universe, runner=runner)
             warm = run_campaign(flow, universe, runner=runner)
         assert cold.coverage_vector() == warm.coverage_vector()
@@ -258,9 +255,7 @@ class TestPersistentWorkers:
         # so the aliasing campaign reuses the signature session.
         flows = _flows(twm)
         with CampaignRunner("batch", 1) as runner:
-            runner.bind(
-                [flow.work_unit() for flow in flows.values()], universe
-            )
+            runner.bind(list(flows.values()), universe)
             run_campaign(flows["signature"], universe, runner=runner)
             aliasing = run_campaign(flows["aliasing"], universe, runner=runner)
         assert aliasing.context_stats.builds == 0
@@ -289,19 +284,19 @@ class TestPersistentWorkers:
         )
         assert report.context_stats is None
 
-    def test_old_signature_custom_engine_still_runs(self, twm, universe):
-        # A custom engine written before the context parameter existed
-        # (overriding the documented pre-context signatures) must keep
-        # working: context= only travels when a payload exists, and
-        # the base build hooks return None.
+    def test_custom_per_fault_engine_runs(self, twm, universe):
+        # A custom engine that only overrides the per-fault compare
+        # loop runs through the packed campaign path: the base class
+        # kernel packs its verdicts, and the base build hooks return
+        # None, so there is nothing to amortize.
         from repro.engine import Engine
 
-        class Legacy(Engine):
-            name = "legacy-test-engine"
+        class PerFault(Engine):
+            name = "per-fault-test-engine"
 
             def detect_batch(
                 self, test, n_words, width, words, faults, *,
-                derive_writes=True,
+                derive_writes=True, context=None,
             ):
                 return get_engine("reference").detect_batch(
                     test, n_words, width, words, faults,
@@ -310,7 +305,7 @@ class TestPersistentWorkers:
 
         flow = _flows(twm)["compare"]
         small = {"SAF": universe["SAF"]}
-        report = run_campaign(flow, small, engine=Legacy())
+        report = run_campaign(flow, small, engine=PerFault())
         baseline = run_campaign(flow, small, engine="reference")
         assert report.coverage_vector() == baseline.coverage_vector()
         assert report.context_stats.builds == 0  # nothing to amortize
@@ -333,7 +328,7 @@ class TestPersistentWorkers:
         flow = _flows(twm)["compare"]
         small = {"SAF": universe["SAF"], "TF": universe["TF"]}
         with CampaignRunner("batch", 2, min_chunk=8) as runner:
-            runner.bind(flow.work_unit(), universe)
+            runner.bind(flow, universe)
             full = run_campaign(flow, universe, runner=runner)
             trimmed = run_campaign(flow, small, runner=runner)
         assert full.coverage_vector() == run_campaign(

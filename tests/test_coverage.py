@@ -261,7 +261,7 @@ class TestAliasingCampaigns:
         )
         assert flow.misr_seed == 0x5A
         assert flow.controller.misr_seed == 0x5A
-        assert flow.work_unit().misr_seed == 0x5A
+        assert flow.context_key()[-1] == 0x5A
 
     def test_tuple_returning_bare_callable_raises(self, twm):
         # Regression: a (False, False) tuple is truthy, so a bare

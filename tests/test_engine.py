@@ -501,7 +501,7 @@ class TestAliasingBatchEquivalence:
         )
         assert seeded.misr_seed == 0x5A
         assert seeded.controller.misr_seed == 0x5A
-        assert seeded.work_unit().misr_seed == 0x5A
+        assert seeded.context_key()[-1] == 0x5A
         universe = {"SAF": small_universe(N_WORDS, 4, 0)["SAF"]}
         ref = run_campaign(seeded, universe, engine="reference")
         bat = run_campaign(seeded, universe, engine="batch")
@@ -633,12 +633,14 @@ class TestShardedCampaigns:
         twm = twm_transform(catalog.get("March U"), 4)
         universe = small_universe(4, 4, 31)
         flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=31)
-        work = flow.work_unit()
+        engine = get_engine("batch")
         with CampaignRunner("batch", 3, min_chunk=4) as runner:
-            runner.bind(work, universe)
+            runner.bind(flow, universe)
             for name, faults in universe.items():
-                sharded = runner.detect_class(work, faults, class_name=name)
-                assert sharded == work.run(get_engine("batch"), faults), name
+                sharded = runner.detect_class_packed(flow, faults, class_name=name)
+                assert sharded.tolist() == engine.detect_batch(
+                    flow.test, flow.n_words, flow.width, flow.words, faults
+                ), name
 
     def test_shard_bounds_partition(self):
         for n, chunks in [(0, 4), (1, 4), (7, 3), (100, 8), (8, 8), (5, 9)]:
@@ -667,7 +669,7 @@ class TestShardedCampaigns:
         # Regression for the old global-binding design, where a second
         # runner's bind() clobbered the first's and the best the
         # runtime could do was raise "binding changed".  Per-runner
-        # binding stores make interleaved bound runners simply work:
+        # fork snapshots make interleaved bound runners simply work:
         # each pool's workers only ever see their own runner's
         # campaigns, even when the runners bind conflicting copies of
         # the same class name.
@@ -678,21 +680,26 @@ class TestShardedCampaigns:
         twm = twm_transform(catalog.get("March C-"), 4)
         universe = small_universe(4, 4, 11)
         flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=11)
-        work = flow.work_unit()
         engine = get_engine("batch")
+
+        def per_fault(faults):
+            return engine.detect_batch(
+                flow.test, flow.n_words, flow.width, flow.words, faults
+            )
+
         first = CampaignRunner("batch", 2, min_chunk=4)
         second = CampaignRunner("batch", 2, min_chunk=4)
         try:
-            first.bind(work, universe)
+            first.bind(flow, universe)
             short = {"SAF": universe["SAF"][:6]}  # conflicting "SAF"
-            second.bind(work, short)
+            second.bind(flow, short)
             for name in ("CFst-intra", "SAF"):
-                assert first.detect_class(
-                    work, universe[name], class_name=name
-                ) == work.run(engine, universe[name]), name
-            assert second.detect_class(
-                work, short["SAF"], class_name="SAF"
-            ) == work.run(engine, short["SAF"])
+                assert first.detect_class_packed(
+                    flow, universe[name], class_name=name
+                ).tolist() == per_fault(universe[name]), name
+            assert second.detect_class_packed(
+                flow, short["SAF"], class_name="SAF"
+            ).tolist() == per_fault(short["SAF"])
         finally:
             first.close()
             second.close()

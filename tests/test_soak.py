@@ -416,3 +416,59 @@ class TestSoakCli:
         assert "scenario " in out
         assert "aggregate episodes:" in out
         assert "ran 1/1 scenario(s)" in out
+
+
+SOAK_ARGS = [
+    "soak", "--geometries", "8x8", "--rates", "4",
+    "--cycles", "6000", "--seed", "1",
+]
+
+
+@pytest.fixture(scope="module")
+def banked(tmp_path_factory):
+    """A valid checkpoint of the SOAK_ARGS matrix, as parsed JSON."""
+    path = tmp_path_factory.mktemp("soak") / "bank.json"
+    assert cli_main(SOAK_ARGS + ["--checkpoint", str(path)]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _without_episodes(payload):
+    for report in payload["reports"].values():
+        del report["episodes"]
+    return json.dumps(payload)
+
+
+# case -> (malformed file content from a valid payload, expected fault)
+MALFORMED_CHECKPOINTS = {
+    "top-level-list": (lambda payload: "[]", "top level is a list"),
+    "reports-list": (
+        lambda payload: json.dumps(
+            {"fingerprint": payload["fingerprint"], "reports": []}
+        ),
+        "'reports' is a list",
+    ),
+    "no-reports": (
+        lambda payload: json.dumps({"fingerprint": payload["fingerprint"]}),
+        "'reports' is missing",
+    ),
+    "no-episodes": (_without_episodes, "missing field 'episodes'"),
+    "truncated": (
+        lambda payload: json.dumps(payload)[:40],
+        "not readable JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_fails_with_one_line(
+    case, banked, tmp_path, capsys
+):
+    make, fault = MALFORMED_CHECKPOINTS[case]
+    path = tmp_path / "bank.json"
+    path.write_text(make(json.loads(json.dumps(banked))), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(SOAK_ARGS + ["--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0, err
+    assert err.startswith(f"error: checkpoint {path} is malformed: ")
+    assert fault in err
