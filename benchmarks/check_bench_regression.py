@@ -46,6 +46,11 @@ batch-vs-reference fraction and the 1.2x jobs floor leave far more
 headroom than supervision consumes), so no gate above was loosened
 for it and no separate overhead gate is needed.
 
+A BENCH file that is not a JSON object of the expected shape (empty,
+truncated, a list, a ``workloads`` list, ...) is an input error, not a
+gate verdict: the gate names the file and the fault on one line and
+exits 2.
+
 Usage::
 
     cp BENCH_engine.json /tmp/baseline.json
@@ -78,6 +83,60 @@ SOAK_CHECKS = (
 # The batch-vs-reference gate covers every oracle leg of the base
 # workload — signature and aliasing included, not just compare.
 BATCH_MODES = ("compare", "signature", "aliasing", "aliasing_narrow")
+
+
+class BenchFileError(ValueError):
+    """A BENCH JSON file the gate cannot read (one-line message)."""
+
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _require_object(path: pathlib.Path, value, where: str) -> None:
+    if not isinstance(value, dict):
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise BenchFileError(f"{path}: {where} is {kind}, expected an object")
+
+
+def load_bench(path: pathlib.Path) -> dict:
+    """Parse one BENCH JSON file, checking that every container the
+    gate walks into is a JSON object; :class:`BenchFileError` names the
+    file and the fault otherwise."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BenchFileError(f"{path}: cannot read ({exc})") from None
+    if not text.strip():
+        raise BenchFileError(f"{path}: empty file, expected a JSON object")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BenchFileError(
+            f"{path}: not valid JSON ({exc.msg} at line {exc.lineno} "
+            f"column {exc.colno})"
+        ) from None
+    _require_object(path, payload, "the top level")
+    for key in ("workloads", "checks", "legs"):
+        if key in payload:
+            _require_object(path, payload[key], f"{key!r}")
+    for name, workload in payload.get("workloads", {}).items():
+        _require_object(path, workload, f"workload {name!r}")
+        for key in ("modes", "fault_tolerance"):
+            if key in workload:
+                _require_object(path, workload[key], f"{name}.{key}")
+        for mode_name, mode in workload.get("modes", {}).items():
+            _require_object(path, mode, f"{name}.modes.{mode_name}")
+    for name, leg in payload.get("legs", {}).items():
+        _require_object(path, leg, f"leg {name!r}")
+    return payload
 
 
 def speedup_ratios(payload: dict, key: str) -> dict[str, float]:
@@ -301,20 +360,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
-    fresh = json.loads(args.fresh.read_text(encoding="utf-8"))
+    try:
+        baseline = load_bench(args.baseline)
+        fresh = load_bench(args.fresh)
+        soak = None if args.soak is None else load_bench(args.soak)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failures, notes = check(
         baseline, fresh, args.threshold, args.jobs_floor,
         args.megaword_floor,
     )
-    soak = None
-    if args.soak is None:
+    if soak is None:
         notes.append(
             "no --soak benchmark passed: soak-runtime assertions not "
             "gated (pre-soak bench?)"
         )
     else:
-        soak = json.loads(args.soak.read_text(encoding="utf-8"))
         failures.extend(check_soak(soak, args.soak_floor))
 
     for key in ("speedup_batch_vs_reference", "speedup_jobs_vs_batch"):

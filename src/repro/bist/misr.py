@@ -12,8 +12,10 @@ all distribute over XOR).  The batched signature oracle of
 every absorbed input bit to the final signature is a fixed vector, so a
 fault's signature can be derived from the fault-free one by XOR-ing the
 weights of the read bits it corrupts.  :func:`absorb_weight_table` and
-:func:`fold_table` precompute those vectors; :func:`signature_of_stream`
-produces the fault-free anchor in one optimized pass.
+:func:`fold_table` precompute those vectors (:func:`absorb_row_table`
+is the transposed table the packed class kernels build their weight
+planes from); :func:`signature_of_stream` produces the fault-free
+anchor in one optimized pass.
 """
 
 from __future__ import annotations
@@ -168,4 +170,30 @@ def absorb_weight_table(
                 ((x << 1) & mask) | ((x & taps).bit_count() & 1)
                 for x in current
             )
+    return tuple(table)
+
+
+def absorb_row_table(
+    n_inputs: int, width: int
+) -> tuple[tuple[int, ...], ...]:
+    """The transpose of :func:`absorb_weight_table`.
+
+    ``table[k][m]`` has bit ``b`` set iff bit ``b`` of the *k*-th
+    absorbed input flips signature bit *m* (``(table[k][m] >> b) & 1 ==
+    (absorb_weight_table(n_inputs, width)[k][b] >> m) & 1``): row *m* of
+    ``A**(n_inputs-1-k)``.  Rows step under the transposed map
+    ``y -> (y >> 1) ^ (taps if y & 1 else 0)``, so the table costs
+    O(n_inputs x width) word operations, with no bit-matrix transposes.
+    The packed session kernels of :mod:`repro.engine.batch` build their
+    per-read weight planes (cached per geometry) from it.
+    """
+    if n_inputs < 0:
+        raise ValueError("n_inputs must be >= 0")
+    taps = tap_mask(width)
+    table: list[tuple[int, ...]] = [()] * n_inputs
+    current = tuple(1 << m for m in range(width))
+    for k in range(n_inputs - 1, -1, -1):
+        table[k] = current
+        if k:
+            current = tuple((y >> 1) ^ (taps if y & 1 else 0) for y in current)
     return tuple(table)

@@ -19,19 +19,24 @@ exploits two structural facts of the compare-oracle campaign
   an entire fault class (all SAFs, all TFs of one direction, all RDFs of
   one flavour) in a single O(op_count) pass of big-int arithmetic.
 
-Per fault class:
+Per fault class (compare oracle / two-phase session oracles):
 
 ``SAF``
-    closed form: the stuck cell always reads back its forced value and
-    the reference snapshot already contains it, so a relative read
-    mismatches iff its mask selects the bit, an absolute read iff its
-    mask disagrees with the stuck value.  Two width-bit OR-accumulators
-    answer the whole class.
+    compare: closed form: the stuck cell always reads back its forced
+    value and the reference snapshot already contains it, so a relative
+    read mismatches iff its mask selects the bit, an absolute read iff
+    its mask disagrees with the stuck value.  Two width-bit
+    OR-accumulators answer the whole class.  Session: one packed pass
+    per stuck value.
 ``TF`` / ``RDF`` / ``DRDF``
-    one packed-plane pass per variant (rising/falling, plain/deceptive).
-``CFst`` / ``CFid`` / ``CFin``
-    exact two-word (one-word when intra-word) subset simulation —
-    O(op_count) per fault instead of O(op_count x n_words).
+    one packed-plane pass per variant (rising/falling, plain/deceptive),
+    in both oracles.
+``CFst`` / ``CFid`` / ``CFin`` intra-word
+    one packed pass per (aggressor bit, victim bit, variant) with every
+    word as a lane, in both oracles.
+``CFst`` / ``CFid`` / ``CFin`` inter-word
+    exact two-word subset simulation — O(op_count) per fault instead of
+    O(op_count x n_words).
 ``AF``
     same subset machinery over the decoder fault's support (the
     addressed word plus its aliased partner): accesses to the faulty
@@ -41,16 +46,27 @@ Per fault class:
 anything unrecognised
     full-fidelity fallback through the reference interpreter.
 
-The *signature* oracle (two-phase transparent BIST, MISR compare) gets
-the same treatment through :meth:`BatchEngine.detect_signature_batch`:
-the fault-free read streams of both phases are recorded once per
-``(programs, content)``, the MISR's GF(2) linearity turns every read
-bit into a precomputed signature weight, and each fault only needs a
-subset replay over its own words to know which read bits it corrupts —
-O(op_count) per fault instead of two full O(op_count x n_words) runs.
-:meth:`BatchEngine.detect_aliasing_batch` rides the *same* replay: the
-test-phase leg of it also compares every support read against its
-session-snapshot expected value, yielding the alias-free stream
+The packed class kernels apply to streaming
+:class:`~repro.memory.injection.FaultClass` descriptors at the
+campaign's geometry (compare SAF classes may also be narrower) over a
+clean fault-free stream; materialized lists,
+mismatched geometry and ill-formed tests stream through the per-fault
+dispatch instead.
+
+The *signature* oracle (two-phase transparent BIST, MISR compare) rests
+on the MISR's GF(2) linearity: the fault-free read streams of both
+phases are recorded once per ``(programs, content)``, and every read
+bit gets a precomputed signature weight, so a fault's signature is the
+fault-free one XOR the weights of the read bits it corrupts.
+Single-cell and intra-word classes find those bits lane-parallel: one
+packed pass per fault hypothesis through both phases XOR-accumulates
+``misr_width`` delta planes (``acc[m] ^= err & weight_plane[read][m]``,
+with ``err`` the read's packed difference from the fault-free raw
+plane), and the test-phase leg ORs the compare-style mismatch against
+the session snapshot, which is the alias-free stream verdict of
+:meth:`BatchEngine.detect_aliasing_batch`.  The signature verdict is
+the pair's second half.  Every other fault pays one O(op_count) subset
+replay over its own words, whose test-phase leg yields the stream
 verdict next to the signature verdict at no extra pass.
 
 Single executions (:meth:`BatchEngine.run`) use the reference
@@ -59,6 +75,7 @@ interpreter unchanged: the batch acceleration is campaign-level.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from ..memory.faults import (
@@ -82,7 +99,11 @@ from ..memory.injection import (
 from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
 from .program import MarchProgram, pack_words, replicate_mask
 from .reference import execute_program
-from .verdicts import PackedVerdicts
+from .verdicts import PackedPairVerdicts, PackedVerdicts
+
+# Streaming classes whose faults never leave one word, so the packed
+# session kernels can simulate every fault of the class lane-parallel.
+_LANE_CLASSES = (StuckAtClass, TransitionClass, ReadDisturbClass, IntraWordCFClass)
 
 
 class BatchEngine(Engine):
@@ -317,6 +338,63 @@ class BatchEngine(Engine):
             )
         return [ctx.detect_pair(fault) for fault in faults]
 
+    def detect_class_signature_batch(
+        self,
+        test,
+        prediction,
+        n_words: int,
+        width: int,
+        words: Sequence[int],
+        faults: Sequence[Fault],
+        *,
+        misr_width: int = 16,
+        misr_seed: int = 0,
+        context: "_SignatureContext | None" = None,
+    ) -> PackedVerdicts:
+        """Signature verdicts of a whole fault class: the signature half
+        of the packed session kernel (:meth:`_SignatureContext.detect_class`)
+        where it applies, the per-fault path otherwise."""
+        ctx = self._session_context(
+            test, prediction, n_words, width, words, misr_width, misr_seed,
+            context,
+        )
+        if ctx is not None and ctx.has_class_kernel(faults):
+            return ctx.detect_class(faults).signature
+        return super().detect_class_signature_batch(
+            test, prediction, n_words, width, words, faults,
+            misr_width=misr_width, misr_seed=misr_seed, context=ctx,
+        )
+
+    def detect_class_aliasing_batch(
+        self,
+        test,
+        prediction,
+        n_words: int,
+        width: int,
+        words: Sequence[int],
+        faults: Sequence[Fault],
+        *,
+        misr_width: int = 16,
+        misr_seed: int = 0,
+        context: "_SignatureContext | None" = None,
+    ) -> PackedPairVerdicts:
+        """Pair verdicts of a whole fault class: streaming single-cell
+        and intra-word classes at the session's geometry over a clean
+        fault-free test stream take the packed session kernel; anything
+        else (materialized lists, inter-word CF, AF, mismatched
+        geometry, ill-formed or underivable programs) takes the
+        per-fault path."""
+        ctx = self._session_context(
+            test, prediction, n_words, width, words, misr_width, misr_seed,
+            context,
+        )
+        if ctx is not None and ctx.has_class_kernel(faults):
+            return ctx.detect_class(faults)
+        return super().detect_class_aliasing_batch(
+            test, prediction, n_words, width, words, faults,
+            misr_width=misr_width, misr_seed=misr_seed, context=ctx,
+        )
+
     def _session_context(
         self, test, prediction, n_words, width, words, misr_width, misr_seed,
         context,
@@ -348,7 +426,40 @@ class BatchEngine(Engine):
         )
 
 
-class _CampaignContext:
+class _WordLanes:
+    """The packed bit-plane layout shared by the compare and session
+    contexts: the masked initial content, packed address-major (bit
+    ``addr*width + bit``), plus cached per-lane masks."""
+
+    def __init__(self, n_words: int, width: int, words: Sequence[int]) -> None:
+        if len(words) != n_words:
+            raise ExecutionError("initial content length does not match memory size")
+        self.n_words = n_words
+        self.width = width
+        word_mask = (1 << width) - 1
+        self.words = [w & word_mask for w in words]
+        self._packed = pack_words(self.words, width)
+        self._full = (1 << (n_words * width)) - 1
+        self._lane_cache: dict[int, int] = {}
+
+    def _replicate(self, program: MarchProgram) -> list[list[int]]:
+        """Every step mask of *program* replicated across all lanes."""
+        n, w = self.n_words, self.width
+        return [
+            [replicate_mask(mask, n, w) for _, _, mask, _ in element.steps]
+            for element in program.elements
+        ]
+
+    def _bit_lane(self, bit: int) -> int:
+        """``1 << bit`` replicated across every word lane (cached)."""
+        lane = self._lane_cache.get(bit)
+        if lane is None:
+            lane = replicate_mask(1 << bit, self.n_words, self.width)
+            self._lane_cache[bit] = lane
+        return lane
+
+
+class _CampaignContext(_WordLanes):
     """Shared per-(program, content) state of one campaign slice.
 
     Planes are computed lazily, at most once each, and reused for every
@@ -362,21 +473,14 @@ class _CampaignContext:
         words: Sequence[int],
         derive_writes: bool,
     ) -> None:
-        if len(words) != n_words:
-            raise ExecutionError("initial content length does not match memory size")
+        super().__init__(n_words, program.width, words)
         self.program = program
-        self.n_words = n_words
-        self.width = program.width
-        self.words = [w & program.word_mask for w in words]
         self.derive = derive_writes
-        self._packed = pack_words(self.words, self.width)
-        self._full = (1 << (n_words * self.width)) - 1
         self._rep: list[list[int]] | None = None
         self._baseline: int | None = None
         self._saf: tuple[int, int] | None = None
         self._tf: dict[bool, int] = {}
         self._rdf: dict[bool, int] = {}
-        self._lane_cache: dict[int, int] = {}
         self._fold_cache: dict[int, int] = {}
 
     # -- dispatch ------------------------------------------------------
@@ -483,14 +587,6 @@ class _CampaignContext:
             stride=fault_class.n_pairs * fault_class.variants,
             slot_stride=self.width,
         )
-
-    def _bit_lane(self, bit: int) -> int:
-        """``1 << bit`` replicated across every word lane (cached)."""
-        lane = self._lane_cache.get(bit)
-        if lane is None:
-            lane = replicate_mask(1 << bit, self.n_words, self.width)
-            self._lane_cache[bit] = lane
-        return lane
 
     def _lane_any(self, det: int) -> int:
         """OR-fold each word lane of a packed mismatch plane down to
@@ -605,11 +701,7 @@ class _CampaignContext:
     # -- packed bit-plane passes ---------------------------------------
     def _replicated(self) -> list[list[int]]:
         if self._rep is None:
-            n, w = self.n_words, self.width
-            self._rep = [
-                [replicate_mask(mask, n, w) for _, _, mask, _ in element.steps]
-                for element in self.program.elements
-            ]
+            self._rep = self._replicate(self.program)
         return self._rep
 
     def _packed_run(self, kind: str | None, variant: bool) -> int:
@@ -949,7 +1041,7 @@ class _SubsetSim:
 # ---------------------------------------------------------------------------
 
 
-class _SignatureContext:
+class _SignatureContext(_WordLanes):
     """Shared per-(programs, content) state of one signature-mode slice.
 
     The two-phase session's verdict is ``predicted_signature !=
@@ -960,8 +1052,13 @@ class _SignatureContext:
     ``sig_faulty == sig_fault_free XOR delta`` where ``delta`` XORs the
     precomputed linear weight of every read *bit* the fault corrupts
     (:func:`repro.bist.misr.absorb_weight_table`).  The fault-free
-    streams and weights are computed once; each fault then costs one
-    O(op_count) subset replay of both phases.
+    streams and weights are computed once.
+
+    Single-cell and intra-word fault classes are answered a whole class
+    at a time (:meth:`detect_class`): one packed pass per fault
+    hypothesis through both phases, XOR-accumulating per-read weight
+    planes over the corrupted-read planes.  Every other fault costs one
+    O(op_count) subset replay of both phases (:meth:`detect`).
 
     The same replay answers the *aliasing* oracle (:meth:`detect_pair`)
     for free: the test-phase stream verdict is whether any replayed
@@ -987,15 +1084,13 @@ class _SignatureContext:
         )
         from ..memory.model import Memory
 
-        if len(words) != n_words:
-            raise ExecutionError("initial content length does not match memory size")
+        super().__init__(n_words, test.width, words)
         self.prediction = prediction
         self.test = test
-        self.n_words = n_words
-        self.width = test.width
-        self.words = [w & test.word_mask for w in words]
         self.misr_width = misr_width
         self.misr_seed = misr_seed
+        self._schedule: "tuple[tuple, tuple] | None" = None
+        self._class_verdicts: dict[FaultClass, PackedPairVerdicts] = {}
 
         # Fault-free read streams of both phases, run back to back on
         # one memory (a read-only prediction leaves it untouched, but a
@@ -1044,6 +1139,226 @@ class _SignatureContext:
         self.prediction_weights = absorb_weight_table(n_pred, misr_width)
         self.test_weights = absorb_weight_table(n_test, misr_width)
         self.fold_positions = fold_table(self.width, misr_width)
+
+    # -- class-level dispatch ------------------------------------------
+    def has_class_kernel(self, faults: Sequence[Fault]) -> bool:
+        """True when :meth:`detect_class` answers *faults*: a non-empty
+        streaming single-cell or intra-word class at this session's
+        geometry, over a clean fault-free test stream.  A fault-free
+        mismatch would make every fault's stream verdict depend on
+        words outside its lane."""
+        return (
+            isinstance(faults, _LANE_CLASSES)
+            and faults.n_words == self.n_words
+            and faults.width == self.width
+            and len(faults) > 0
+            and not self.test_mismatch_addrs
+        )
+
+    def detect_class(self, fault_class: FaultClass) -> PackedPairVerdicts:
+        """``(stream, signature)`` pair verdicts of a whole class
+        accepted by :meth:`has_class_kernel`, bit-identical to
+        :meth:`detect_pair` fault by fault.  Cached per class, so the
+        signature and aliasing oracles of one session share one
+        evaluation."""
+        verdicts = self._class_verdicts.get(fault_class)
+        if verdicts is None:
+            if isinstance(fault_class, IntraWordCFClass):
+                verdicts = self._intra_cf_class(fault_class)
+            else:
+                verdicts = self._single_cell_class(fault_class)
+            self._class_verdicts[fault_class] = verdicts
+        return verdicts
+
+    def _single_cell_class(self, fault_class: FaultClass) -> PackedPairVerdicts:
+        """Every cell is its own fault: one pass per variant, with the
+        verdict of cell ``(addr, bit)`` at bit ``addr*width + bit``."""
+        if isinstance(fault_class, StuckAtClass):
+            kind, variants = "SAF", (0, 1)
+        elif isinstance(fault_class, TransitionClass):
+            kind, variants = "TF", (True, False)
+        else:
+            kind, variants = "RDF", (fault_class.deceptive,)
+        stream = []
+        signature = []
+        for variant in variants:
+            det, acc = self._packed_session(kind, variant)
+            stream.append(det)
+            signature.append(self._gap_differs(acc, self._full))
+        n, stride = len(fault_class), len(variants)
+        return PackedPairVerdicts(
+            PackedVerdicts(n, stream, stride=stride),
+            PackedVerdicts(n, signature, stride=stride),
+        )
+
+    def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedPairVerdicts:
+        """One pass per (bit pair, variant) with every word as a lane,
+        each lane's verdict at its bit 0 (``slot_stride = width``).
+
+        A coupling fault only ever changes its victim cell, and the
+        kernel applies only over a clean fault-free stream, so a lane's
+        read errors, signature delta bits and stream mismatches all sit
+        at the victim bit: shifting it to bit 0 is the lane's XOR (and
+        OR) fold."""
+        stream = []
+        signature = []
+        lane0 = self._bit_lane(0)
+        for pair_index in range(fault_class.n_pairs):
+            a_bit, v_bit = fault_class.pair_bits(pair_index)
+            for variant in range(fault_class.variants):
+                det, acc = self._packed_session(
+                    fault_class.cf_kind, variant, a_bit, v_bit
+                )
+                stream.append((det >> v_bit) & lane0)
+                deltas = [(a >> v_bit) & lane0 for a in acc]
+                signature.append(self._gap_differs(deltas, lane0))
+        n = len(fault_class)
+        stride = fault_class.n_pairs * fault_class.variants
+        return PackedPairVerdicts(
+            PackedVerdicts(n, stream, stride=stride, slot_stride=self.width),
+            PackedVerdicts(n, signature, stride=stride, slot_stride=self.width),
+        )
+
+    def _gap_differs(self, deltas: Sequence[int], ones: int) -> int:
+        """Lanes whose signature delta (bit *m* of every lane in
+        ``deltas[m]``) differs from the fault-free signature gap; *ones*
+        sets every lane's verdict bit."""
+        gap = self.fault_free_gap
+        out = 0
+        for m, delta in enumerate(deltas):
+            out |= (delta ^ ones) if (gap >> m) & 1 else delta
+        return out
+
+    def _packed_session(
+        self, kind: str, variant, a_bit: int = 0, v_bit: int = 0
+    ) -> tuple[int, list[int]]:
+        """One word-parallel pass through both session phases
+        hypothesising the same fault in every lane at once, with the
+        fault semantics of the compare kernels (``SAF``: variant = stuck
+        value, ``TF``: rising, ``RDF``: deceptive, ``CFst``/``CFid``/
+        ``CFin``: parameter variant of the (a_bit, v_bit) pair).
+
+        State carries from the prediction phase into the test phase.
+        Returns ``(det, acc)``: ``det`` marks test-phase reads that
+        disagree with the session snapshot's expected values (the
+        stream verdict), ``acc[m]`` is bit *m* of every lane bit's
+        signature delta — the XOR over corrupted read bits of their
+        weight planes.
+        """
+        full = self._full
+        is_saf = kind == "SAF"
+        is_tf = kind == "TF"
+        is_rdf = kind == "RDF"
+        is_cfst = kind == "CFst"
+        is_trig = kind in ("CFid", "CFin")
+        state = self._packed
+        if is_saf:
+            state = full if variant else 0
+        elif is_cfst or is_trig:
+            aggr_lane = self._bit_lane(a_bit)
+            shift = v_bit - a_bit
+            rising = x = y = False
+            if is_cfst:
+                y, x = divmod(variant, 2)
+            elif kind == "CFid":
+                half, x = divmod(variant, 2)
+                rising = half == 0
+            else:
+                rising = variant == 0
+
+            def enforce(value: int) -> int:
+                cond = (value & aggr_lane) if y else (~value & aggr_lane)
+                cond = (cond << shift) if shift >= 0 else (cond >> -shift)
+                return (value | cond) if x else (value & ~cond)
+
+            if is_cfst:
+                state = enforce(state)  # loaded content expresses the defect
+        snap = state  # the controller's session snapshot
+        det = 0
+        acc = [0] * self.misr_width
+        prediction, test = self._session_schedule()
+        for phase in (prediction, test):
+            check = phase is test
+            for steps in phase:
+                last_raw = 0
+                last_mask = 0
+                for is_read, relative, mrep, fault_free, weights in steps:
+                    if is_read:
+                        if is_rdf:
+                            raw = state if variant else state ^ full
+                            state ^= full
+                        else:
+                            raw = state
+                        err = raw ^ fault_free
+                        if err:
+                            acc = [a ^ (err & wt) for a, wt in zip(acc, weights)]
+                        if check:
+                            det |= raw ^ ((snap ^ mrep) if relative else mrep)
+                        last_raw, last_mask = raw, mrep
+                        continue
+                    value = (last_raw ^ last_mask ^ mrep) if relative else mrep
+                    if is_saf:
+                        continue
+                    if is_tf:
+                        state = (state & value) if variant else (state | value)
+                    elif is_cfst:
+                        state = enforce(value)
+                    elif is_trig:
+                        trig = (
+                            (state ^ value)
+                            & (value if rising else ~value)
+                            & aggr_lane
+                        )
+                        trig = (trig << shift) if shift >= 0 else (trig >> -shift)
+                        if kind == "CFid":
+                            state = (value | trig) if x else (value & ~trig)
+                        else:
+                            state = value ^ trig
+                    else:
+                        state = value
+        return det, acc
+
+    def _session_schedule(self) -> "tuple[tuple, tuple]":
+        """Both phases as packed step tuples (built once, lazily)."""
+        if self._schedule is None:
+            self._schedule = self._build_schedule()
+        return self._schedule
+
+    def _build_schedule(self) -> "tuple[tuple, tuple]":
+        """Per phase, per element, one ``(is_read, relative, mask plane,
+        fault-free raw plane, weight planes)`` tuple per step.
+
+        The fault-free raw plane of a read packs every address's
+        recorded raw value at that read; the weight planes come from
+        :func:`_weight_planes` (content-independent, cached across
+        contexts of one geometry).
+        """
+        n, w = self.n_words, self.width
+        phases = []
+        for program, raw in (
+            (self.prediction, self.prediction_raw),
+            (self.test, self.test_raw),
+        ):
+            # All the stream order depends on (and the cache key).
+            layout = tuple((e.descending, e.n_reads) for e in program.elements)
+            reads = zip(
+                [
+                    pack_words([raw[k] for k in ks], w)
+                    for ks in _read_slices(layout, n)
+                ],
+                _weight_planes(layout, n, w, self.misr_width),
+            )
+            elements = []
+            for element, masks in zip(program.elements, self._replicate(program)):
+                steps = []
+                for (is_read, relative, _mask, _ok), mrep in zip(
+                    element.steps, masks
+                ):
+                    fault_free, weights = next(reads) if is_read else (0, ())
+                    steps.append((is_read, relative, mrep, fault_free, weights))
+                elements.append(tuple(steps))
+            phases.append(tuple(elements))
+        return phases[0], phases[1]
 
     # -- per-fault dispatch --------------------------------------------
     def detect(self, fault: Fault) -> bool:
@@ -1196,6 +1511,56 @@ class _SignatureContext:
             test_run.n_mismatches > 0,
             predict_misr.signature != test_misr.signature,
         )
+
+
+def _read_slices(layout, n_words: int):
+    """Stream indices of every read of a phase, one ``range`` per
+    (element, read) in program order, indexed by address; *layout* is
+    ``(descending, n_reads)`` per element.
+
+    The *j*-th read of address *a* in element *e* sits at stream index
+    ``base_e + position(a) * reads_e + j`` — the order the interpreter
+    emits reads in, with ``position(a) = n_words - 1 - a`` on
+    descending sweeps.
+    """
+    base = 0
+    for descending, n_reads in layout:
+        span = n_reads * n_words
+        for j in range(n_reads):
+            ks = range(base + j, base + span, n_reads)
+            yield ks[::-1] if descending else ks
+        base += span
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_planes(
+    layout, n_words: int, width: int, misr_width: int
+) -> tuple[tuple[int, ...], ...]:
+    """Per read of a phase (program order), *misr_width* packed planes:
+    plane *m* holds, at bit ``addr*width + bit``, bit *m* of the
+    signature weight of that read bit.
+
+    Input bit *b* folds into MISR input bit ``b % misr_width``, so each
+    lane is a row of :func:`~repro.bist.misr.absorb_row_table` repeated
+    across the word.  Content-independent: cached per geometry, like
+    the weight table itself.
+    """
+    from ..bist.misr import absorb_row_table
+
+    n_inputs = n_words * sum(n_reads for _, n_reads in layout)
+    spread = replicate_mask(1, -(-width // misr_width), misr_width)
+    word_mask = (1 << width) - 1
+    lane_rows = [
+        [(row * spread) & word_mask for row in rows]
+        for rows in absorb_row_table(n_inputs, misr_width)
+    ]
+    return tuple(
+        tuple(
+            pack_words([lane_rows[k][m] for k in ks], width)
+            for m in range(misr_width)
+        )
+        for ks in _read_slices(layout, n_words)
+    )
 
 
 register_engine(BatchEngine())

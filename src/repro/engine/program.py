@@ -73,8 +73,11 @@ class ProgramElement:
             return range(n_words - 1, -1, -1)
         return range(n_words)
 
-    @property
+    @functools.cached_property
     def n_reads(self) -> int:
+        # Cached in the instance ``__dict__``, outside the dataclass
+        # fields, so equality and hashing are unaffected; session
+        # replays ask for it once per element per fault.
         return sum(1 for op in self.ops if op.is_read)
 
     def __len__(self) -> int:
@@ -183,7 +186,7 @@ class SymbolicElement:
     descending: bool
     steps: tuple[tuple[bool, bool, Mask, bool], ...]
 
-    @property
+    @functools.cached_property
     def n_reads(self) -> int:
         return sum(1 for is_read, _, _, _ in self.steps if is_read)
 

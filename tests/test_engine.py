@@ -19,7 +19,13 @@ from repro.analysis.coverage import (
 )
 from repro.bist.controller import TransparentBist
 from repro.bist.executor import run_march
-from repro.bist.misr import Misr, absorb_weight_table, fold_table, signature_of_stream
+from repro.bist.misr import (
+    Misr,
+    absorb_row_table,
+    absorb_weight_table,
+    fold_table,
+    signature_of_stream,
+)
 from repro.core.notation import parse_march
 from repro.core.twm import nontransparent_word_reference, twm_transform
 from repro.engine import (
@@ -127,6 +133,27 @@ class TestProgramIR:
         program = compile_march(parse_march("⇓(r0)", name="down"), 4)
         assert program.elements[0].descending
         assert list(program.elements[0].addresses(3)) == [2, 1, 0]
+
+    def test_n_reads_cached_outside_fields(self):
+        # Compiled once per access site, not per call; the cache lives
+        # beside the dataclass fields, so equality, hashing and pickling
+        # see the same values as an uncached element.
+        import pickle
+
+        from repro.engine.program import compile_symbolic
+
+        test = catalog.get("March C-")
+        for element in (
+            compile_march(test, 4).elements[1],
+            compile_symbolic(test).elements[1],
+        ):
+            fresh = pickle.loads(pickle.dumps(element))
+            before = hash(element)
+            assert element.n_reads == 1
+            assert "n_reads" in vars(element)
+            assert hash(element) == before == hash(fresh)
+            assert element == fresh
+            assert pickle.loads(pickle.dumps(element)) == element
 
     def test_pack_and_replicate(self):
         assert pack_words([0b01, 0b11], 2) == 0b1101
@@ -740,6 +767,16 @@ class TestMisrHelpers:
     def test_fold_table(self):
         assert fold_table(8, 16) == tuple(range(8))
         assert fold_table(8, 3) == (0, 1, 2, 0, 1, 2, 0, 1)
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_row_table_is_weight_table_transpose(self, width):
+        n = 41
+        weights = absorb_weight_table(n, width)
+        rows = absorb_row_table(n, width)
+        for k in range(n):
+            for m in range(width):
+                for b in range(width):
+                    assert (rows[k][m] >> b) & 1 == (weights[k][b] >> m) & 1
 
     @pytest.mark.parametrize("width", [1, 4, 8, 16])
     def test_weight_table_reconstructs_error_signatures(self, width):

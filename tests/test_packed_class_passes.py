@@ -23,10 +23,17 @@ import random
 
 import pytest
 
-from repro.analysis.coverage import compare_flow, run_campaign
+from repro.analysis.coverage import (
+    aliasing_flow,
+    compare_flow,
+    run_campaign,
+    signature_flow,
+)
 from repro.cli import main
 from repro.core.twm import twm_transform
 from repro.engine import (
+    CampaignRunner,
+    ExecutionError,
     PackedPairVerdicts,
     PackedVerdicts,
     compile_march,
@@ -339,6 +346,271 @@ class TestClassKernelEquivalence:
         par = run_campaign(flow, universe, engine="batch", jobs=2)
         assert seq.coverage_vector() == par.coverage_vector()
         assert seq.undetected == par.undetected
+
+
+def _session(name, width, n_words, seed, misr_width, misr_seed):
+    twm = twm_transform(catalog.get(name), width)
+    return batch_module._SignatureContext(
+        compile_march(twm.prediction, width),
+        compile_march(twm.twmarch, width),
+        n_words,
+        _words(n_words, width, seed),
+        misr_width,
+        misr_seed,
+    )
+
+
+# (misr_width, misr_seed) cycled over the geometries below: every MISR
+# width meets a zero and a non-zero seed somewhere in the sweep.
+_MISR_CONFIGS = ((1, 0), (3, 5), (16, 0), (16, 0xBEEF), (1, 3), (3, 0))
+
+
+class TestSessionClassKernels:
+    """Packed session class kernels == per-fault replay == reference."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", ["March C-", "MATS+"])
+    def test_matches_per_fault_pairs(self, name, width):
+        config = 0
+        for n in (1, 2, 3, 5):
+            for seed in (1, 2):
+                misr_width, misr_seed = _MISR_CONFIGS[config % 6]
+                config += 1
+                ctx = _session(name, width, n, seed, misr_width, misr_seed)
+                for cname, fc in _classes(n, width).items():
+                    assert ctx.has_class_kernel(fc), cname
+                    packed = ctx.detect_class(fc)
+                    assert len(packed) == len(fc)
+                    expected = [ctx.detect_pair(f) for f in fc]
+                    assert packed.tolist() == expected, (
+                        n, seed, misr_width, misr_seed, cname,
+                    )
+
+    @pytest.mark.parametrize("name", ["March C-", "MATS+"])
+    def test_matches_reference_engine(self, name):
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        aliased = 0
+        for width, n, misr_width, misr_seed in (
+            (2, 3, 1, 0),
+            (4, 2, 3, 7),
+            (4, 3, 16, 0),
+        ):
+            twm = twm_transform(catalog.get(name), width)
+            words = _words(n, width, seed=n + width)
+            args = (twm.twmarch, twm.prediction, n, width, words)
+            kwargs = {"misr_width": misr_width, "misr_seed": misr_seed}
+            for cname, fc in _classes(n, width).items():
+                pairs = batch.detect_class_aliasing_batch(*args, fc, **kwargs)
+                assert isinstance(pairs, PackedPairVerdicts)
+                expected = reference.detect_aliasing_batch(
+                    *args, list(fc), **kwargs
+                )
+                assert pairs.tolist() == expected, (width, n, cname)
+                signature = batch.detect_class_signature_batch(
+                    *args, fc, **kwargs
+                )
+                assert isinstance(signature, PackedVerdicts)
+                assert signature.tolist() == [s for _, s in expected]
+                assert signature.tolist() == pairs.signature.tolist()
+                aliased += pairs.aliased_count()
+        # The narrow MISRs alias: the stream half is live, not a copy
+        # of the signature half.
+        assert aliased > 0
+
+    def test_prediction_with_writes(self):
+        # A user-supplied prediction that writes (and restores) every
+        # word: its state carries into the test phase, so read-disturb
+        # flips made during prediction must be seen by the test phase.
+        from repro.core.notation import parse_march
+
+        twm = twm_transform(catalog.get("March C-"), 4)
+        prediction = parse_march("⇑(rc,w~c,r~c,wc);⇓(rc)", name="writes")
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        n, width = 3, 4
+        words = _words(n, width, seed=9)
+        for misr_width in (3, 16):
+            ctx = batch.build_session_context(
+                twm.twmarch, prediction, n, width, words, misr_width=misr_width
+            )
+            for cname, fc in _classes(n, width).items():
+                assert ctx.has_class_kernel(fc), cname
+                pairs = batch.detect_class_aliasing_batch(
+                    twm.twmarch, prediction, n, width, words, fc,
+                    misr_width=misr_width, context=ctx,
+                )
+                assert pairs.tolist() == reference.detect_aliasing_batch(
+                    twm.twmarch, prediction, n, width, words, list(fc),
+                    misr_width=misr_width,
+                ), (misr_width, cname)
+
+
+@pytest.fixture
+def session_probes(monkeypatch):
+    """Counts subset-replay constructions, ``_phase_delta`` calls and
+    schedule (weight-plane) builds of the session context."""
+    counts = {"subset": 0, "phase_delta": 0, "schedule": 0}
+
+    class CountingSubsetSim(batch_module._SubsetSim):
+        def __init__(self, *args, **kwargs):
+            counts["subset"] += 1
+            super().__init__(*args, **kwargs)
+
+    context_cls = batch_module._SignatureContext
+    phase_delta = context_cls._phase_delta
+    build_schedule = context_cls._build_schedule
+
+    def counting_phase_delta(self, *args, **kwargs):
+        counts["phase_delta"] += 1
+        return phase_delta(self, *args, **kwargs)
+
+    def counting_build_schedule(self):
+        counts["schedule"] += 1
+        return build_schedule(self)
+
+    monkeypatch.setattr(batch_module, "_SubsetSim", CountingSubsetSim)
+    monkeypatch.setattr(context_cls, "_phase_delta", counting_phase_delta)
+    monkeypatch.setattr(context_cls, "_build_schedule", counting_build_schedule)
+    return counts
+
+
+class TestSessionKernelPaths:
+    """Which classes take the packed session kernel, which keep the
+    per-fault replay — with identical verdicts either way."""
+
+    N, W = 4, 4
+
+    def _flows(self, test, prediction, seed=3, misr_width=3):
+        kwargs = {"misr_width": misr_width, "seed": seed}
+        return (
+            signature_flow(test, prediction, self.N, self.W, **kwargs),
+            aliasing_flow(test, prediction, self.N, self.W, **kwargs),
+        )
+
+    def _universe(self):
+        return standard_fault_universe(
+            self.N,
+            self.W,
+            max_inter_pairs=6,
+            rng=random.Random(4),
+            include_rdf=True,
+            include_af=True,
+        )
+
+    def test_streaming_kernel_classes_skip_subset_replay(self, session_probes):
+        twm = twm_transform(catalog.get("March C-"), self.W)
+        universe = self._universe()
+        kernel = {
+            name: fc
+            for name, fc in universe.items()
+            if isinstance(fc, batch_module._LANE_CLASSES)
+        }
+        assert set(kernel) == {
+            "SAF", "TF", "RDF", "DRDF", "CFst-intra", "CFid-intra",
+            "CFin-intra",
+        }
+        rest = {k: v for k, v in universe.items() if k not in kernel}
+        with CampaignRunner("batch", 1) as runner:
+            reports = [
+                run_campaign(flow, kernel, runner=runner)
+                for flow in self._flows(twm.twmarch, twm.prediction)
+            ]
+        assert session_probes["subset"] == 0
+        assert session_probes["phase_delta"] == 0
+        # Signature then aliasing on one runner: one context build,
+        # reused by the aliasing pass, and one weight-plane build.
+        assert [r.context_stats.builds for r in reports] == [1, 0]
+        assert session_probes["schedule"] == 1
+        # The other classes keep the per-fault replay.
+        run_campaign(
+            self._flows(twm.twmarch, twm.prediction)[1], rest, engine="batch"
+        )
+        assert session_probes["subset"] > 0
+        assert session_probes["phase_delta"] > 0
+
+    def test_materialized_lists_keep_per_fault_path(self, session_probes):
+        twm = twm_transform(catalog.get("March C-"), self.W)
+        streaming = {
+            name: fc
+            for name, fc in self._universe().items()
+            if isinstance(fc, batch_module._LANE_CLASSES)
+        }
+        lists = {name: list(fc) for name, fc in streaming.items()}
+        for flow in self._flows(twm.twmarch, twm.prediction):
+            fast = run_campaign(flow, streaming, engine="batch")
+            assert session_probes["phase_delta"] == 0
+            slow = run_campaign(flow, lists, engine="batch")
+            assert session_probes["phase_delta"] > 0
+            session_probes["phase_delta"] = 0
+            assert fast.coverage_vector() == slow.coverage_vector()
+            assert fast.aliasing_vector() == slow.aliasing_vector()
+            assert fast.undetected == slow.undetected
+
+    def _per_fault_equal(self, ctx, engine_args, fc, kwargs):
+        batch = get_engine("batch")
+        pairs = batch.detect_class_aliasing_batch(*engine_args, fc, **kwargs)
+        signature = batch.detect_class_signature_batch(
+            *engine_args, fc, **kwargs
+        )
+        expected = [ctx.detect_pair(f) for f in fc]
+        assert pairs.tolist() == expected
+        assert signature.tolist() == [s for _, s in expected]
+
+    def test_mismatched_geometry_keeps_per_fault_path(self, session_probes):
+        twm = twm_transform(catalog.get("March C-"), self.W)
+        words = _words(self.N, self.W, seed=6)
+        args = (twm.twmarch, twm.prediction, self.N, self.W, words)
+        ctx = get_engine("batch").build_session_context(*args, misr_width=3)
+        for fc in (
+            StuckAtClass(self.N, 2),
+            TransitionClass(self.N - 1, self.W),
+            IntraWordCFClass(self.N, 2, "CFst"),
+        ):
+            assert not ctx.has_class_kernel(fc)
+            before = session_probes["phase_delta"]
+            self._per_fault_equal(
+                ctx, args, fc, {"misr_width": 3, "context": ctx}
+            )
+            assert session_probes["phase_delta"] > before
+        assert session_probes["schedule"] == 0
+
+    def test_ill_formed_test_keeps_per_fault_path(self, session_probes):
+        # Reads before initializing: the fault-free test stream already
+        # mismatches on random content, so every fault's stream verdict
+        # depends on words outside its lane.
+        from repro.core.notation import parse_march
+
+        test = parse_march("⇕(r0);⇑(w1,r1)", name="ill-formed")
+        prediction = parse_march("⇕(r0)", name="ill-formed-prediction")
+        words = _words(self.N, self.W, seed=2)
+        args = (test, prediction, self.N, self.W, words)
+        ctx = get_engine("batch").build_session_context(*args, misr_width=3)
+        assert ctx.test_mismatch_addrs
+        for fc in _classes(self.N, self.W).values():
+            assert not ctx.has_class_kernel(fc)
+            self._per_fault_equal(ctx, args, fc, {"misr_width": 3})
+        assert session_probes["schedule"] == 0
+        assert session_probes["subset"] > 0
+
+    def test_underivable_program_keeps_per_fault_path(self, session_probes):
+        from repro.core.notation import parse_march
+
+        test = parse_march("⇕(wc);⇕(rc)", name="underivable")
+        prediction = parse_march("⇕(rc)", name="prediction")
+        words = _words(self.N, self.W, seed=1)
+        args = (test, prediction, self.N, self.W, words)
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        assert batch.build_session_context(*args) is None
+        fc = StuckAtClass(self.N, self.W)
+        with pytest.raises(ExecutionError):
+            reference.detect_aliasing_batch(*args, list(fc))
+        with pytest.raises(ExecutionError):
+            batch.detect_class_aliasing_batch(*args, fc)
+        with pytest.raises(ExecutionError):
+            batch.detect_class_signature_batch(*args, fc)
+        assert session_probes["schedule"] == 0
 
 
 class TestSymbolicFamilyTables:
