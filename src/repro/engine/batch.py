@@ -35,23 +35,30 @@ Per fault class (compare oracle / two-phase session oracles):
     one packed pass per (aggressor bit, victim bit, variant) with every
     word as a lane, in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` inter-word
-    exact two-word subset simulation — O(op_count) per fault instead of
+    compare, same-bit classes: one *pair-lane* pass — every fault gets
+    its own word lane holding its aggressor and victim words, visited
+    in address order.  Otherwise (and in the session oracles): exact
+    two-word subset simulation, O(op_count) per fault instead of
     O(op_count x n_words).
 ``AF``
-    same subset machinery over the decoder fault's support (the
-    addressed word plus its aliased partner): accesses to the faulty
-    address are lost, redirected or wired together exactly as in
+    the decoder fault's support is the addressed word plus its aliased
+    partner: accesses to the faulty address are lost, redirected or
+    wired together exactly as in
     :class:`~repro.memory.injection.FaultyMemory`, and no other word is
-    ever influenced, so the two-word replay is exact.
+    ever influenced.  Compare: AF-none is one OR over the expected
+    values of the reads, AF-other/AF-multi one pair-lane pass over
+    (other word, faulty word) lanes.  Session oracles: the two-word
+    subset replay.
 anything unrecognised
     full-fidelity fallback through the reference interpreter.
 
 The packed class kernels apply to streaming
 :class:`~repro.memory.injection.FaultClass` descriptors at the
-campaign's geometry (compare SAF classes may also be narrower) over a
-clean fault-free stream; materialized lists,
-mismatched geometry and ill-formed tests stream through the per-fault
-dispatch instead.
+campaign's geometry (compare SAF classes may also be narrower, and AF
+classes only need the campaign's ``n_words``) over a clean fault-free
+stream; materialized lists, mismatched geometry, cross-bit inter-word
+classes and ill-formed tests stream through the per-fault dispatch
+instead.
 
 The *signature* oracle (two-phase transparent BIST, MISR compare) rests
 on the MISR's GF(2) linearity: the fault-free read streams of both
@@ -90,7 +97,9 @@ from ..memory.faults import (
     TransitionFault,
 )
 from ..memory.injection import (
+    AddressFaultClass,
     FaultClass,
+    InterWordCFClass,
     IntraWordCFClass,
     ReadDisturbClass,
     StuckAtClass,
@@ -481,7 +490,7 @@ class _CampaignContext(_WordLanes):
         self._saf: tuple[int, int] | None = None
         self._tf: dict[bool, int] = {}
         self._rdf: dict[bool, int] = {}
-        self._fold_cache: dict[int, int] = {}
+        self._fold_cache: dict[tuple[int, int], int] = {}
 
     # -- dispatch ------------------------------------------------------
     def detect(self, fault: Fault) -> bool:
@@ -521,12 +530,15 @@ class _CampaignContext(_WordLanes):
     def detect_class(self, fault_class: FaultClass) -> PackedVerdicts:
         """Packed verdict bitset of one whole fault class.
 
-        The strided class kernels apply when the class geometry matches
-        this campaign and the fault-free baseline is clean (always, for
-        well-formed tests); everything else — inter-word CF classes, AF
-        classes, mismatched geometry, ill-formed tests — streams through
-        the exact per-fault dispatch one fault at a time, so no path
-        ever materializes the class as a list.
+        The class kernels apply when the class geometry matches this
+        campaign (for AF classes, whose width is always 1, only
+        ``n_words``) and the fault-free baseline is clean (always, for
+        well-formed tests): lane-per-cell passes for single-cell and
+        intra-word classes, pair-lane passes for AF and same-bit
+        inter-word CF classes.  Everything else — cross-bit inter-word
+        CF classes, mismatched geometry, ill-formed tests — streams
+        through the exact per-fault dispatch one fault at a time, so no
+        path ever materializes the class as a list.
         """
         n, w = self.n_words, self.width
         exact = fault_class.n_words == n and fault_class.width == w
@@ -563,6 +575,14 @@ class _CampaignContext(_WordLanes):
                 )
             if exact and isinstance(fault_class, IntraWordCFClass) and w > 1:
                 return self._intra_cf_class(fault_class)
+            if isinstance(fault_class, AddressFaultClass) and fault_class.n_words == n:
+                return self._af_class(fault_class)
+            if (
+                exact
+                and isinstance(fault_class, InterWordCFClass)
+                and fault_class.same_bit_only
+            ):
+                return self._inter_cf_class(fault_class)
         return PackedVerdicts.from_bools(
             self.detect(fault) for fault in fault_class
         )
@@ -580,7 +600,7 @@ class _CampaignContext(_WordLanes):
                 det = self._packed_coupling_run(
                     fault_class.cf_kind, a_bit, v_bit, variant
                 )
-                vectors.append(self._lane_any(det))
+                vectors.append(self._lane_any(det, self.n_words))
         return PackedVerdicts(
             len(fault_class),
             vectors,
@@ -588,24 +608,210 @@ class _CampaignContext(_WordLanes):
             slot_stride=self.width,
         )
 
-    def _lane_any(self, det: int) -> int:
-        """OR-fold each word lane of a packed mismatch plane down to
-        the lane's bit 0.  Every shifted term is masked to the low
-        ``width - shift`` bits of its lane so no bit crosses into the
-        neighbouring word (which matters for non-power-of-two widths).
+    def _af_class(self, fault_class: AddressFaultClass) -> PackedVerdicts:
+        """All address-decoder faults of the class in two passes.
+
+        AF-none (the first ``n`` faults, one word lane each) keeps no
+        state: a read of the dead address returns the floating value 0,
+        so the lane is detected iff some read there expects a non-zero
+        word.  AF-other and AF-multi take one pair lane each, lane
+        ``2*perm + which`` in class order, whose two words are the
+        other address's cell ``X_o`` (which every store to either
+        address writes) and, for multi lanes, the faulty address's own
+        cell ``X_a`` (wired with ``X_o`` on reads of the faulty
+        address) — :meth:`_SubsetSim.fetch`/``store`` lane-parallel.
+
+        The pair planes are shifts of the doubled packed content, not
+        per-lane lists: block ``a`` (the ``2*(n-1)`` lanes of faulty
+        address ``a``) of the other-word plane is the doubled content
+        with address ``a`` cut out.
         """
+        n, w = self.n_words, self.width
+        none = 0
+        for element, rep_masks in zip(self.program.elements, self._replicated()):
+            for (is_read, relative, _mask, _ok), mrep in zip(
+                element.steps, rep_masks
+            ):
+                if is_read:
+                    none |= (self._packed ^ mrep) if relative else mrep
+        verdicts = self._lane_any(none, n)
+        n_lanes = 2 * n * (n - 1)
+        if n_lanes:
+            pair = 2 * w  # the (other, multi) lanes of one address pair
+            block = pair * (n - 1)
+            doubled = pack_words([x | (x << w) for x in self.words], pair)
+            other = pack_words(
+                [
+                    (doubled & ((1 << (pair * a)) - 1))
+                    | ((doubled >> (pair * (a + 1))) << (pair * a))
+                    for a in range(n)
+                ],
+                block,
+            )
+            faulty = pack_words(self.words, block) * replicate_mask(
+                1, 2 * (n - 1), w
+            )
+            # Lanes whose faulty address is the lower one: in block a,
+            # every other address past the first a.
+            ones = (1 << block) - 1
+            lower = pack_words(
+                [(ones >> (pair * a)) << (pair * a) for a in range(n)], block
+            )
+            multi = replicate_mask(self.program.word_mask << w, n * (n - 1), pair)
+            wired_or = fault_class.wired_or
+            x_o, x_a = other, faulty
+
+            def fetch(sel: int) -> int:
+                wired = multi & sel
+                if wired_or:
+                    return x_o | (x_a & wired)
+                return x_o & (x_a | ~wired)
+
+            def store(sel: int, value: int) -> None:
+                nonlocal x_o, x_a
+                wired = multi & sel
+                x_o = value
+                x_a = (x_a & ~wired) | (value & wired)
+
+            det = self._pair_lane_run(n_lanes, lower, faulty, other, fetch, store)
+            verdicts |= self._lane_any(det, n_lanes) << (n * w)
+        return PackedVerdicts(len(fault_class), (verdicts,), slot_stride=w)
+
+    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PackedVerdicts:
+        """All same-bit inter-word coupling faults of one kind in one
+        pass: lane ``pair_pos*variants + variant`` (the class order)
+        holds the pair's aggressor and victim words, with per-lane
+        masks for the shared aggressor/victim bit and the variant's
+        ``x``/``y``/``rising`` parameters — :meth:`_coupling`
+        lane-parallel."""
+        w = self.width
+        variants = fault_class.variants
+        n_lanes = fault_class.n_pairs * variants
+        if not n_lanes:
+            return PackedVerdicts(0, (0,))
+        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
+        span = variants * w
+        spread = replicate_mask(1, variants, w)
+
+        def per_pair(values: list[int]) -> int:
+            # One value per pair, copied into each of its variant lanes.
+            return pack_words(values, span) * spread
+
+        words = self.words
+        aggr = per_pair([words[a.addr] for a, _ in cells])
+        victim = per_pair([words[v.addr] for _, v in cells])
+        bit = per_pair([1 << a.bit for a, _ in cells])
+        wm = self.program.word_mask
+        lower = per_pair([wm if a.addr < v.addr else 0 for a, v in cells])
+        params = [_cf_params(fault_class.cf_kind, k) for k in range(variants)]
+
+        def lanes_where(index: int) -> int:
+            pattern = sum(
+                wm << (k * w) for k, p in enumerate(params) if p[index]
+            )
+            return replicate_mask(pattern, fault_class.n_pairs, span) & bit
+
+        rising, x_bit, y_bit = (lanes_where(i) for i in range(3))
+        cf_kind = fault_class.cf_kind
+
+        def enforce() -> None:
+            nonlocal victim
+            cond = ~(aggr ^ y_bit) & bit
+            victim = (victim & ~cond) | (cond & x_bit)
+
+        if cf_kind == "CFst":
+            enforce()  # the loaded content already expresses the defect
+
+        def fetch(sel: int) -> int:
+            return (aggr & sel) | (victim & ~sel)
+
+        def store(sel: int, value: int) -> None:
+            nonlocal aggr, victim
+            old = aggr
+            aggr = (aggr & ~sel) | (value & sel)
+            victim = (victim & sel) | (value & ~sel)
+            if cf_kind == "CFst":
+                enforce()
+                return
+            trig = (old ^ aggr) & ~(aggr ^ rising) & bit
+            if cf_kind == "CFid":
+                victim = (victim & ~trig) | (trig & x_bit)
+            else:
+                victim ^= trig
+
+        det = self._pair_lane_run(n_lanes, lower, aggr, victim, fetch, store)
+        return PackedVerdicts(
+            len(fault_class), (self._lane_any(det, n_lanes),), slot_stride=w
+        )
+
+    def _pair_lane_run(
+        self, n_lanes: int, lower: int, snap_a: int, snap_b: int, fetch, store
+    ) -> int:
+        """One pass over the program in which every *w*-bit lane
+        replays one two-word fault: word A (faulty or aggressor
+        address, snapshot *snap_a*) and word B (snapshot *snap_b*).
+        *lower* marks the lanes whose A address is the lower one.
+
+        Each element visits a lane's two words in address order (lo
+        then hi ascending, hi then lo descending), as
+        :meth:`_subset_detect` does; ``fetch(sel)``/``store(sel,
+        value)`` carry the fault semantics, with *sel* the lanes
+        visiting A.  The step semantics are the subset replay's, and
+        the returned plane accumulates every read's mismatch (the lane
+        OR is the verdict; detection is monotone)."""
+        upper = ((1 << (n_lanes * self.width)) - 1) ^ lower
+        ones = self._lane_ones(n_lanes)
+        derive = self.derive
+        det = 0
+        for element in self.program.elements:
+            steps = [
+                (is_read, relative, mask * ones)
+                for is_read, relative, mask, _ok in element.steps
+            ]
+            for sel in (upper, lower) if element.descending else (lower, upper):
+                snap = (snap_a & sel) | (snap_b & ~sel)
+                last_raw = 0
+                last_mask = 0
+                for is_read, relative, mrep in steps:
+                    if is_read:
+                        raw = fetch(sel)
+                        det |= raw ^ ((snap ^ mrep) if relative else mrep)
+                        last_raw, last_mask = raw, mrep
+                    else:
+                        if relative and derive:
+                            value = last_raw ^ last_mask ^ mrep
+                        elif relative:
+                            value = snap ^ mrep
+                        else:
+                            value = mrep
+                        store(sel, value)
+        return det
+
+    def _lane_any(self, det: int, n_lanes: int) -> int:
+        """OR-fold each *width*-bit lane of a packed mismatch plane
+        with *n_lanes* lanes down to the lane's bit 0.  Every shifted
+        term is masked to the low ``width - shift`` bits of its lane so
+        no bit crosses into the neighbouring lane (which matters for
+        non-power-of-two widths)."""
         w = self.width
         shift = 1
         while shift < w:
-            fold = self._fold_cache.get(shift)
+            fold = self._fold_cache.get((n_lanes, shift))
             if fold is None:
-                fold = replicate_mask(
-                    (1 << (w - shift)) - 1, self.n_words, w
-                )
-                self._fold_cache[shift] = fold
+                fold = replicate_mask((1 << (w - shift)) - 1, n_lanes, w)
+                self._fold_cache[(n_lanes, shift)] = fold
             det |= (det >> shift) & fold
             shift <<= 1
-        return det & self._bit_lane(0)
+        return det & self._lane_ones(n_lanes)
+
+    def _lane_ones(self, n_lanes: int) -> int:
+        """Bit 0 of each of *n_lanes* packed lanes (cached)."""
+        ones = self._fold_cache.get((n_lanes, 0))
+        if ones is None:
+            ones = self._fold_cache[(n_lanes, 0)] = replicate_mask(
+                1, n_lanes, self.width
+            )
+        return ones
 
     def _packed_coupling_run(
         self, cf_kind: str, a_bit: int, v_bit: int, variant: int
@@ -625,14 +831,7 @@ class _CampaignContext(_WordLanes):
         """
         aggr_lane = self._bit_lane(a_bit)
         shift = v_bit - a_bit
-        rising = x = y = False
-        if cf_kind == "CFst":
-            y, x = divmod(variant, 2)
-        elif cf_kind == "CFid":
-            half, x = divmod(variant, 2)
-            rising = half == 0
-        else:
-            rising = variant == 0
+        rising, x, y = _cf_params(cf_kind, variant)
 
         def enforce(state: int) -> int:
             cond = (state & aggr_lane) if y else (~state & aggr_lane)
@@ -880,7 +1079,7 @@ class _CampaignContext(_WordLanes):
     # -- fallback ------------------------------------------------------
     def _fallback(self, fault: Fault) -> bool:
         """Full-fidelity interpretation for fault kinds without a fast
-        path (address-decoder faults, user-defined models)."""
+        path (user-defined models)."""
         from ..memory.injection import FaultyMemory
 
         memory = FaultyMemory(self.n_words, self.width, [fault])
@@ -1257,14 +1456,7 @@ class _SignatureContext(_WordLanes):
         elif is_cfst or is_trig:
             aggr_lane = self._bit_lane(a_bit)
             shift = v_bit - a_bit
-            rising = x = y = False
-            if is_cfst:
-                y, x = divmod(variant, 2)
-            elif kind == "CFid":
-                half, x = divmod(variant, 2)
-                rising = half == 0
-            else:
-                rising = variant == 0
+            rising, x, y = _cf_params(kind, variant)
 
             def enforce(value: int) -> int:
                 cond = (value & aggr_lane) if y else (~value & aggr_lane)
@@ -1511,6 +1703,20 @@ class _SignatureContext(_WordLanes):
             test_run.n_mismatches > 0,
             predict_misr.signature != test_misr.signature,
         )
+
+
+def _cf_params(cf_kind: str, variant: int) -> tuple[bool, int, int]:
+    """``(rising, x, y)`` of coupling variant *variant* of *cf_kind*, in
+    the enumeration order of :func:`~repro.memory.injection._cf_variant`
+    (CFst: aggressor value y, forced value x; CFid: rising, forced
+    value x; CFin: rising)."""
+    if cf_kind == "CFst":
+        y, x = divmod(variant, 2)
+        return False, x, y
+    if cf_kind == "CFid":
+        half, x = divmod(variant, 2)
+        return half == 0, x, 0
+    return variant == 0, 0, 0
 
 
 def _read_slices(layout, n_words: int):

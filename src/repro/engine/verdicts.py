@@ -145,14 +145,31 @@ class PackedVerdicts(Sequence):
 
     def missed_indices(self, limit: int | None = None) -> list[int]:
         """Fault indices with a False verdict, ascending, capped at
-        *limit* — O(limit * stride) big-int ops, not O(n)."""
+        *limit*.
+
+        The first *limit* misses in (slot, variant) order lie in the
+        lowest slots, so only a low window of slots is scanned: it
+        starts at ``ceil(limit / stride)`` slots and grows 4x until it
+        holds *limit* misses or covers every slot.  Each vector is cut
+        to the window before it is inverted, so the cost follows the
+        window, not the class size."""
         limit = self.n if limit is None else min(limit, self.n)
         if limit <= 0:
             return []
-        valid = _valid_mask(self.n // self.stride, self.slot_stride)
+        slots = self.n // self.stride
+        window = -(-limit // self.stride)
+        while True:
+            window = min(window, slots)
+            out = self._missed_in(_valid_mask(window, self.slot_stride), limit)
+            if len(out) == limit or window == slots:
+                return out
+            window *= 4
+
+    def _missed_in(self, low: int, limit: int) -> list[int]:
+        """The first *limit* misses among the slots set in *low*."""
         out: list[int] = []
         per_variant = [
-            _lowest_bits(valid & ~vector, limit) for vector in self.vectors
+            _lowest_bits((vector & low) ^ low, limit) for vector in self.vectors
         ]
         cursors = [0] * self.stride
         while len(out) < limit:

@@ -209,6 +209,35 @@ class TestPackedVerdictContainers:
         restored = pickle.loads(pickle.dumps(merged))
         assert list(restored) == list(merged)
 
+    def test_missed_indices_window_matches_naive_scan(self):
+        # The windowed scan against a per-index scan of tolist(), over
+        # random geometries, densities and limits (including stray bits
+        # between slots, which the constructor masks off).
+        rng = random.Random(0)
+        for _ in range(3000):
+            stride = rng.randint(1, 6)
+            slot_stride = rng.randint(1, 9)
+            slots = rng.randint(0, 60)
+            density = rng.random()
+            limit = rng.choice((None, 0, 1, 2, 5, 16, rng.randint(0, 400)))
+            vectors = [
+                sum(
+                    (rng.random() < density) << (s * slot_stride)
+                    | (rng.random() < 0.1) << (s * slot_stride + 1)
+                    for s in range(slots)
+                )
+                for _ in range(stride)
+            ]
+            n = slots * stride
+            packed = PackedVerdicts(
+                n, vectors, stride=stride, slot_stride=slot_stride
+            )
+            naive = [i for i, hit in enumerate(packed.tolist()) if not hit]
+            cap = n if limit is None else limit
+            assert packed.missed_indices(limit) == naive[:cap], (
+                stride, slot_stride, slots, density, limit,
+            )
+
     def test_pair_verdicts(self):
         pairs = [(True, True), (True, False), (False, False)]
         packed = PackedPairVerdicts.from_pairs(pairs)
@@ -346,6 +375,242 @@ class TestClassKernelEquivalence:
         par = run_campaign(flow, universe, engine="batch", jobs=2)
         assert seq.coverage_vector() == par.coverage_vector()
         assert seq.undetected == par.undetected
+
+
+def _pair_lane_classes(n_words, width, seed):
+    """AF (both wirings) and same-bit inter-word CF classes, the latter
+    unsampled and sampled."""
+    out = {
+        "AF": AddressFaultClass(n_words),
+        "AF-or": AddressFaultClass(n_words, wired_or=True),
+    }
+    for kind in ("CFst", "CFid", "CFin"):
+        out[kind] = InterWordCFClass(n_words, width, kind)
+        out[f"{kind}-sampled"] = InterWordCFClass(
+            n_words, width, kind, max_pairs=5, rng=random.Random(seed)
+        )
+    return out
+
+
+# Beyond the catalog TWMarches: a test whose AF-none verdict depends on
+# the content (its only reads expect the snapshot itself), and one that
+# is clean only on the derived-write datapath (a relative write after
+# an absolute read).
+_HAND_WRITTEN = ("⇑(rc,wc);⇓(rc)", "⇕(w0);⇑(r0,wc,r0);⇓(r0,w1,r1)")
+
+
+class TestPairLaneKernels:
+    """Packed AF and inter-word CF kernels == per-fault dispatch ==
+    reference."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_matches_per_fault(self, width):
+        from repro.core.notation import parse_march
+
+        tests = [
+            twm_transform(catalog.get(name), width).twmarch
+            for name in catalog.names()
+        ]
+        tests += [parse_march(text, name=text) for text in _HAND_WRITTEN]
+        misses = {"AF": 0, "CF": 0}
+        for test in tests:
+            name = test.name
+            program = compile_march(test, width)
+            assert program.derivable, name
+            for derive in (True, False):
+                for n in (1, 2, 3, 5):
+                    for seed in (1, 2):
+                        ctx = batch_module._CampaignContext(
+                            program, n, _words(n, width, seed), derive
+                        )
+                        classes = _pair_lane_classes(n, width, seed)
+                        for cname, fc in classes.items():
+                            packed = ctx.detect_class(fc)
+                            assert len(packed) == len(fc)
+                            expected = [ctx.detect(f) for f in fc]
+                            assert packed.tolist() == expected, (
+                                name, derive, n, seed, cname,
+                            )
+                            key = "AF" if cname.startswith("AF") else "CF"
+                            misses[key] += expected.count(False)
+        # Both kernels must reproduce misses, not only hits.
+        assert misses["AF"] > 0 and misses["CF"] > 0, misses
+
+    def test_edge_widths(self):
+        # Non-power-of-two and > 64-bit lanes (raw march: TWM needs
+        # power-of-two widths).
+        program_of = {w: compile_march(catalog.get("March U"), w) for w in (3, 5, 65)}
+        for n, w in ((5, 3), (4, 5), (3, 65)):
+            for derive in (True, False):
+                ctx = batch_module._CampaignContext(
+                    program_of[w], n, _words(n, w, n * w), derive
+                )
+                for cname, fc in _pair_lane_classes(n, w, 1).items():
+                    packed = ctx.detect_class(fc)
+                    assert packed.tolist() == [ctx.detect(f) for f in fc], (
+                        n, w, derive, cname,
+                    )
+
+    @pytest.mark.parametrize("name", ["MATS+", "March X", "March Y"])
+    def test_af_misses(self, name):
+        # At width 1, these three tests miss the two AF-multi(and)
+        # faults of address 2 on random.Random(0) content.
+        program = compile_march(twm_transform(catalog.get(name), 1).twmarch, 1)
+        for n in (3, 4, 8):
+            ctx = batch_module._CampaignContext(
+                program, n, _words(n, 1, 0), True
+            )
+            fc = AddressFaultClass(n)
+            packed = ctx.detect_class(fc)
+            assert [fc[i].describe() for i in packed.missed_indices()] == [
+                "AF-multi(and)@2+0",
+                "AF-multi(and)@2+1",
+            ]
+            assert packed.tolist() == [ctx.detect(f) for f in fc]
+
+    def test_matches_reference_engine(self):
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        for name, width, n in (
+            ("MATS+", 1, 4),
+            ("March C-", 2, 3),
+            ("March U", 4, 3),
+            ("March LR", 8, 2),
+        ):
+            twm = twm_transform(catalog.get(name), width).twmarch
+            words = _words(n, width, seed=n + width)
+            for derive in (True, False):
+                for cname, fc in _pair_lane_classes(n, width, 3).items():
+                    packed = batch.detect_class_batch(
+                        twm, n, width, words, fc, derive_writes=derive
+                    )
+                    assert isinstance(packed, PackedVerdicts)
+                    expected = reference.detect_batch(
+                        twm, n, width, words, list(fc), derive_writes=derive
+                    )
+                    assert packed.tolist() == expected, (name, derive, cname)
+
+
+@pytest.fixture
+def compare_probes(monkeypatch):
+    """Counts the compare context's per-fault AF/coupling replays and
+    its pair-lane kernel passes."""
+    counts = {"subset": 0, "coupling": 0, "pair_lane": 0}
+    context_cls = batch_module._CampaignContext
+    for attr, key in (
+        ("_subset_detect", "subset"),
+        ("_coupling", "coupling"),
+        ("_pair_lane_run", "pair_lane"),
+    ):
+        original = getattr(context_cls, attr)
+
+        def counting(self, *args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(context_cls, attr, counting)
+    return counts
+
+
+class TestPairLaneKernelPaths:
+    """Which AF and inter-word CF classes take the pair-lane kernels,
+    which keep the per-fault replay — with identical verdicts."""
+
+    N, W = 4, 4
+
+    def _universe(self, streaming=True):
+        return {
+            name: fc
+            for name, fc in standard_fault_universe(
+                self.N,
+                self.W,
+                max_inter_pairs=6,
+                rng=random.Random(4),
+                include_af=True,
+                streaming=streaming,
+            ).items()
+            if name == "AF" or name.endswith("-inter")
+        }
+
+    def _context(self, test=None, seed=5):
+        test = test or twm_transform(catalog.get("March C-"), self.W).twmarch
+        return _context(test, self.N, self.W, seed)
+
+    def test_streaming_classes_skip_per_fault_replay(self, compare_probes):
+        twm = twm_transform(catalog.get("March C-"), self.W)
+        flow = compare_flow(twm.twmarch, self.N, self.W, seed=3)
+        fast = run_campaign(flow, self._universe(), engine="batch")
+        assert compare_probes["subset"] == compare_probes["coupling"] == 0
+        assert compare_probes["pair_lane"] == 4  # AF + three CF kinds
+        slow = run_campaign(flow, self._universe(streaming=False), engine="batch")
+        assert compare_probes["subset"] > 0 and compare_probes["coupling"] > 0
+        assert compare_probes["pair_lane"] == 4
+        assert fast.coverage_vector() == slow.coverage_vector()
+        assert fast.undetected == slow.undetected
+
+    def _per_fault_path(self, probes, ctx, fc):
+        before = probes["subset"] + probes["coupling"]
+        lanes = probes["pair_lane"]
+        packed = ctx.detect_class(fc)
+        assert probes["pair_lane"] == lanes
+        assert probes["subset"] + probes["coupling"] - before >= len(fc)
+        probes["subset"] = probes["coupling"] = 0
+        assert packed.tolist() == [ctx.detect(f) for f in fc]
+
+    def test_cross_bit_inter_cf_keeps_per_fault_path(self, compare_probes):
+        ctx = self._context()
+        for kind in ("CFst", "CFid", "CFin"):
+            fc = InterWordCFClass(
+                self.N, self.W, kind, same_bit_only=False,
+                max_pairs=8, rng=random.Random(1),
+            )
+            self._per_fault_path(compare_probes, ctx, fc)
+
+    def test_mismatched_geometry_keeps_per_fault_path(self, compare_probes):
+        ctx = self._context()
+        for fc in (
+            AddressFaultClass(self.N - 1),
+            InterWordCFClass(self.N - 1, self.W, "CFid"),
+            InterWordCFClass(self.N, self.W // 2, "CFst"),
+        ):
+            self._per_fault_path(compare_probes, ctx, fc)
+
+    def test_ill_formed_test_keeps_per_fault_path(self, compare_probes):
+        from repro.core.notation import parse_march
+
+        raw = parse_march("⇕(r0);⇑(w1,r1)", name="ill-formed")
+        ctx = self._context(raw, seed=2)
+        assert ctx._baseline_plane() != 0
+        for fc in _pair_lane_classes(self.N, self.W, 2).values():
+            self._per_fault_path(compare_probes, ctx, fc)
+
+    def test_underivable_program_keeps_per_fault_path(self, compare_probes):
+        from repro.core.notation import parse_march
+
+        test = parse_march("⇕(wc);⇕(rc)", name="underivable")
+        words = _words(self.N, self.W, seed=1)
+        args = (test, self.N, self.W, words)
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        assert batch.build_compare_context(*args) is None
+        for fc in _pair_lane_classes(self.N, self.W, 1).values():
+            with pytest.raises(ExecutionError):
+                reference.detect_batch(*args, list(fc))
+            with pytest.raises(ExecutionError):
+                batch.detect_class_batch(*args, fc)
+        assert compare_probes["pair_lane"] == 0
+
+    @pytest.mark.parametrize("n_words", [1, 2])
+    def test_edge_geometries(self, compare_probes, n_words):
+        twm = twm_transform(catalog.get("March C-"), self.W).twmarch
+        ctx = _context(twm, n_words, self.W, seed=7)
+        for cname, fc in _pair_lane_classes(n_words, self.W, 7).items():
+            if n_words == 1:
+                assert len(fc) == (1 if cname.startswith("AF") else 0)
+            packed = ctx.detect_class(fc)
+            assert len(packed) == len(fc)
+            assert packed.tolist() == [ctx.detect(f) for f in fc], cname
+        assert compare_probes["pair_lane"] == (0 if n_words == 1 else 8)
 
 
 def _session(name, width, n_words, seed, misr_width, misr_seed):
