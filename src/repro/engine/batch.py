@@ -35,20 +35,19 @@ Per fault class (compare oracle / two-phase session oracles):
     one packed pass per (aggressor bit, victim bit, variant) with every
     word as a lane, in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` inter-word
-    compare, same-bit classes: one *pair-lane* pass — every fault gets
-    its own word lane holding its aggressor and victim words, visited
-    in address order.  Otherwise (and in the session oracles): exact
-    two-word subset simulation, O(op_count) per fault instead of
-    O(op_count x n_words).
+    same-bit classes: one *pair-lane* pass in both oracles — every
+    fault gets its own lane holding its aggressor and victim words,
+    visited in address order.  Cross-bit classes: exact two-word subset
+    simulation, O(op_count) per fault instead of O(op_count x n_words).
 ``AF``
     the decoder fault's support is the addressed word plus its aliased
     partner: accesses to the faulty address are lost, redirected or
     wired together exactly as in
     :class:`~repro.memory.injection.FaultyMemory`, and no other word is
-    ever influenced.  Compare: AF-none is one OR over the expected
-    values of the reads, AF-other/AF-multi one pair-lane pass over
-    (other word, faulty word) lanes.  Session oracles: the two-word
-    subset replay.
+    ever influenced.  AF-none is stateless word lanes (compare: one OR
+    over the expected values of the reads), AF-other/AF-multi one
+    pair-lane pass over (faulty word, other word) lanes, in both
+    oracles.
 anything unrecognised
     full-fidelity fallback through the reference interpreter.
 
@@ -72,9 +71,12 @@ with ``err`` the read's packed difference from the fault-free raw
 plane), and the test-phase leg ORs the compare-style mismatch against
 the session snapshot, which is the alias-free stream verdict of
 :meth:`BatchEngine.detect_aliasing_batch`.  The signature verdict is
-the pair's second half.  Every other fault pays one O(op_count) subset
-replay over its own words, whose test-phase leg yields the stream
-verdict next to the signature verdict at no extra pass.
+the pair's second half.  AF and same-bit inter-word CF classes run the
+compare kernels' pair lanes through both phases, each read's
+fault-free raw and weight values gathered into every lane's two words.
+Every other fault pays one O(op_count) subset replay over its own
+words, whose test-phase leg yields the stream verdict next to the
+signature verdict at no extra pass.
 
 Single executions (:meth:`BatchEngine.run`) use the reference
 interpreter unchanged: the batch acceleration is campaign-level.
@@ -83,7 +85,7 @@ interpreter unchanged: the batch acceleration is campaign-level.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..memory.faults import (
     AddressDecoderFault,
@@ -111,7 +113,8 @@ from .reference import execute_program
 from .verdicts import PackedPairVerdicts, PackedVerdicts
 
 # Streaming classes whose faults never leave one word, so the packed
-# session kernels can simulate every fault of the class lane-parallel.
+# session kernels simulate every fault of the class in word lanes (AF
+# and same-bit inter-word CF classes take pair lanes instead).
 _LANE_CLASSES = (StuckAtClass, TransitionClass, ReadDisturbClass, IntraWordCFClass)
 
 
@@ -293,33 +296,6 @@ class BatchEngine(Engine):
             ctx = context
         return ctx.detect_class(faults)
 
-    def detect_signature_batch(
-        self,
-        test,
-        prediction,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: "_SignatureContext | None" = None,
-    ) -> list[bool]:
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            # The per-fault reference path raises ExecutionError at the
-            # first underivable write; only it reproduces that exactly.
-            return super().detect_signature_batch(
-                self._program(test, width), self._program(prediction, width),
-                n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return [ctx.detect(fault) for fault in faults]
-
     def detect_aliasing_batch(
         self,
         test,
@@ -387,12 +363,11 @@ class BatchEngine(Engine):
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
     ) -> PackedPairVerdicts:
-        """Pair verdicts of a whole fault class: streaming single-cell
-        and intra-word classes at the session's geometry over a clean
-        fault-free test stream take the packed session kernel; anything
-        else (materialized lists, inter-word CF, AF, mismatched
-        geometry, ill-formed or underivable programs) takes the
-        per-fault path."""
+        """Pair verdicts of a whole fault class: the streaming classes
+        :meth:`_SignatureContext.has_class_kernel` accepts take the
+        packed session kernels; anything else (materialized lists,
+        cross-bit inter-word CF, mismatched geometry, ill-formed or
+        underivable programs) takes the per-fault path."""
         ctx = self._session_context(
             test, prediction, n_words, width, words, misr_width, misr_seed,
             context,
@@ -450,6 +425,7 @@ class _WordLanes:
         self._packed = pack_words(self.words, width)
         self._full = (1 << (n_words * width)) - 1
         self._lane_cache: dict[int, int] = {}
+        self._fold_cache: dict[tuple[int, int, int], int] = {}
 
     def _replicate(self, program: MarchProgram) -> list[list[int]]:
         """Every step mask of *program* replicated across all lanes."""
@@ -466,6 +442,40 @@ class _WordLanes:
             lane = replicate_mask(1 << bit, self.n_words, self.width)
             self._lane_cache[bit] = lane
         return lane
+
+    def _lane_any(
+        self, det: int, n_lanes: int, stride: int = 0, parity: bool = False
+    ) -> int:
+        """OR-fold (XOR-fold with *parity*) each *stride*-bit lane
+        (default: *width*) of a packed plane with *n_lanes* lanes down
+        to the lane's bit 0.  Every shifted term is masked to the low
+        ``stride - shift`` bits of its lane so no bit crosses into the
+        neighbouring lane (which matters for non-power-of-two widths);
+        the terms a step folds in are disjoint, so the XOR fold counts
+        every bit once."""
+        stride = stride or self.width
+        shift = 1
+        while shift < stride:
+            fold = self._fold_cache.get((n_lanes, stride, shift))
+            if fold is None:
+                fold = replicate_mask((1 << (stride - shift)) - 1, n_lanes, stride)
+                self._fold_cache[(n_lanes, stride, shift)] = fold
+            if parity:
+                det ^= (det >> shift) & fold
+            else:
+                det |= (det >> shift) & fold
+            shift <<= 1
+        return det & self._lane_ones(n_lanes, stride)
+
+    def _lane_ones(self, n_lanes: int, stride: int = 0) -> int:
+        """Bit 0 of each of *n_lanes* packed *stride*-bit lanes (cached)."""
+        stride = stride or self.width
+        ones = self._fold_cache.get((n_lanes, stride, 0))
+        if ones is None:
+            ones = self._fold_cache[(n_lanes, stride, 0)] = replicate_mask(
+                1, n_lanes, stride
+            )
+        return ones
 
 
 class _CampaignContext(_WordLanes):
@@ -490,7 +500,6 @@ class _CampaignContext(_WordLanes):
         self._saf: tuple[int, int] | None = None
         self._tf: dict[bool, int] = {}
         self._rdf: dict[bool, int] = {}
-        self._fold_cache: dict[tuple[int, int], int] = {}
 
     # -- dispatch ------------------------------------------------------
     def detect(self, fault: Fault) -> bool:
@@ -614,18 +623,8 @@ class _CampaignContext(_WordLanes):
         AF-none (the first ``n`` faults, one word lane each) keeps no
         state: a read of the dead address returns the floating value 0,
         so the lane is detected iff some read there expects a non-zero
-        word.  AF-other and AF-multi take one pair lane each, lane
-        ``2*perm + which`` in class order, whose two words are the
-        other address's cell ``X_o`` (which every store to either
-        address writes) and, for multi lanes, the faulty address's own
-        cell ``X_a`` (wired with ``X_o`` on reads of the faulty
-        address) — :meth:`_SubsetSim.fetch`/``store`` lane-parallel.
-
-        The pair planes are shifts of the doubled packed content, not
-        per-lane lists: block ``a`` (the ``2*(n-1)`` lanes of faulty
-        address ``a``) of the other-word plane is the doubled content
-        with address ``a`` cut out.
-        """
+        word.  AF-other and AF-multi take one pair lane each
+        (:func:`_af_lanes`)."""
         n, w = self.n_words, self.width
         none = 0
         for element, rep_masks in zip(self.program.elements, self._replicated()):
@@ -635,130 +634,39 @@ class _CampaignContext(_WordLanes):
                 if is_read:
                     none |= (self._packed ^ mrep) if relative else mrep
         verdicts = self._lane_any(none, n)
-        n_lanes = 2 * n * (n - 1)
-        if n_lanes:
-            pair = 2 * w  # the (other, multi) lanes of one address pair
-            block = pair * (n - 1)
-            doubled = pack_words([x | (x << w) for x in self.words], pair)
-            other = pack_words(
-                [
-                    (doubled & ((1 << (pair * a)) - 1))
-                    | ((doubled >> (pair * (a + 1))) << (pair * a))
-                    for a in range(n)
-                ],
-                block,
+        if n > 1:
+            lanes = _af_lanes(
+                self.words, w, self.program.word_mask, fault_class.wired_or
             )
-            faulty = pack_words(self.words, block) * replicate_mask(
-                1, 2 * (n - 1), w
-            )
-            # Lanes whose faulty address is the lower one: in block a,
-            # every other address past the first a.
-            ones = (1 << block) - 1
-            lower = pack_words(
-                [(ones >> (pair * a)) << (pair * a) for a in range(n)], block
-            )
-            multi = replicate_mask(self.program.word_mask << w, n * (n - 1), pair)
-            wired_or = fault_class.wired_or
-            x_o, x_a = other, faulty
-
-            def fetch(sel: int) -> int:
-                wired = multi & sel
-                if wired_or:
-                    return x_o | (x_a & wired)
-                return x_o & (x_a | ~wired)
-
-            def store(sel: int, value: int) -> None:
-                nonlocal x_o, x_a
-                wired = multi & sel
-                x_o = value
-                x_a = (x_a & ~wired) | (value & wired)
-
-            det = self._pair_lane_run(n_lanes, lower, faulty, other, fetch, store)
-            verdicts |= self._lane_any(det, n_lanes) << (n * w)
+            det = self._pair_lane_run(lanes)
+            verdicts |= self._lane_any(det, lanes.n_lanes) << (n * w)
         return PackedVerdicts(len(fault_class), (verdicts,), slot_stride=w)
 
     def _inter_cf_class(self, fault_class: InterWordCFClass) -> PackedVerdicts:
         """All same-bit inter-word coupling faults of one kind in one
-        pass: lane ``pair_pos*variants + variant`` (the class order)
-        holds the pair's aggressor and victim words, with per-lane
-        masks for the shared aggressor/victim bit and the variant's
-        ``x``/``y``/``rising`` parameters — :meth:`_coupling`
-        lane-parallel."""
-        w = self.width
-        variants = fault_class.variants
-        n_lanes = fault_class.n_pairs * variants
-        if not n_lanes:
+        pair-lane pass (:func:`_inter_cf_lanes`)."""
+        if not len(fault_class):
             return PackedVerdicts(0, (0,))
-        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
-        span = variants * w
-        spread = replicate_mask(1, variants, w)
-
-        def per_pair(values: list[int]) -> int:
-            # One value per pair, copied into each of its variant lanes.
-            return pack_words(values, span) * spread
-
-        words = self.words
-        aggr = per_pair([words[a.addr] for a, _ in cells])
-        victim = per_pair([words[v.addr] for _, v in cells])
-        bit = per_pair([1 << a.bit for a, _ in cells])
-        wm = self.program.word_mask
-        lower = per_pair([wm if a.addr < v.addr else 0 for a, v in cells])
-        params = [_cf_params(fault_class.cf_kind, k) for k in range(variants)]
-
-        def lanes_where(index: int) -> int:
-            pattern = sum(
-                wm << (k * w) for k, p in enumerate(params) if p[index]
-            )
-            return replicate_mask(pattern, fault_class.n_pairs, span) & bit
-
-        rising, x_bit, y_bit = (lanes_where(i) for i in range(3))
-        cf_kind = fault_class.cf_kind
-
-        def enforce() -> None:
-            nonlocal victim
-            cond = ~(aggr ^ y_bit) & bit
-            victim = (victim & ~cond) | (cond & x_bit)
-
-        if cf_kind == "CFst":
-            enforce()  # the loaded content already expresses the defect
-
-        def fetch(sel: int) -> int:
-            return (aggr & sel) | (victim & ~sel)
-
-        def store(sel: int, value: int) -> None:
-            nonlocal aggr, victim
-            old = aggr
-            aggr = (aggr & ~sel) | (value & sel)
-            victim = (victim & sel) | (value & ~sel)
-            if cf_kind == "CFst":
-                enforce()
-                return
-            trig = (old ^ aggr) & ~(aggr ^ rising) & bit
-            if cf_kind == "CFid":
-                victim = (victim & ~trig) | (trig & x_bit)
-            else:
-                victim ^= trig
-
-        det = self._pair_lane_run(n_lanes, lower, aggr, victim, fetch, store)
+        lanes = _inter_cf_lanes(
+            fault_class, self.words, self.width, self.program.word_mask
+        )
+        det = self._pair_lane_run(lanes)
         return PackedVerdicts(
-            len(fault_class), (self._lane_any(det, n_lanes),), slot_stride=w
+            len(fault_class),
+            (self._lane_any(det, lanes.n_lanes),),
+            slot_stride=self.width,
         )
 
-    def _pair_lane_run(
-        self, n_lanes: int, lower: int, snap_a: int, snap_b: int, fetch, store
-    ) -> int:
+    def _pair_lane_run(self, lanes: _PairLanes) -> int:
         """One pass over the program in which every *w*-bit lane
-        replays one two-word fault: word A (faulty or aggressor
-        address, snapshot *snap_a*) and word B (snapshot *snap_b*).
-        *lower* marks the lanes whose A address is the lower one.
+        replays one two-word fault (:class:`_PairLanes`).
 
         Each element visits a lane's two words in address order (lo
         then hi ascending, hi then lo descending), as
-        :meth:`_subset_detect` does; ``fetch(sel)``/``store(sel,
-        value)`` carry the fault semantics, with *sel* the lanes
-        visiting A.  The step semantics are the subset replay's, and
-        the returned plane accumulates every read's mismatch (the lane
-        OR is the verdict; detection is monotone)."""
+        :meth:`_subset_detect` does.  The step semantics are the subset
+        replay's, and the returned plane accumulates every read's
+        mismatch (the lane OR is the verdict; detection is monotone)."""
+        n_lanes, lower, snap_a, snap_b, fetch, store = lanes[:6]
         upper = ((1 << (n_lanes * self.width)) - 1) ^ lower
         ones = self._lane_ones(n_lanes)
         derive = self.derive
@@ -786,32 +694,6 @@ class _CampaignContext(_WordLanes):
                             value = mrep
                         store(sel, value)
         return det
-
-    def _lane_any(self, det: int, n_lanes: int) -> int:
-        """OR-fold each *width*-bit lane of a packed mismatch plane
-        with *n_lanes* lanes down to the lane's bit 0.  Every shifted
-        term is masked to the low ``width - shift`` bits of its lane so
-        no bit crosses into the neighbouring lane (which matters for
-        non-power-of-two widths)."""
-        w = self.width
-        shift = 1
-        while shift < w:
-            fold = self._fold_cache.get((n_lanes, shift))
-            if fold is None:
-                fold = replicate_mask((1 << (w - shift)) - 1, n_lanes, w)
-                self._fold_cache[(n_lanes, shift)] = fold
-            det |= (det >> shift) & fold
-            shift <<= 1
-        return det & self._lane_ones(n_lanes)
-
-    def _lane_ones(self, n_lanes: int) -> int:
-        """Bit 0 of each of *n_lanes* packed lanes (cached)."""
-        ones = self._fold_cache.get((n_lanes, 0))
-        if ones is None:
-            ones = self._fold_cache[(n_lanes, 0)] = replicate_mask(
-                1, n_lanes, self.width
-            )
-        return ones
 
     def _packed_coupling_run(
         self, cf_kind: str, a_bit: int, v_bit: int, variant: int
@@ -1253,11 +1135,12 @@ class _SignatureContext(_WordLanes):
     (:func:`repro.bist.misr.absorb_weight_table`).  The fault-free
     streams and weights are computed once.
 
-    Single-cell and intra-word fault classes are answered a whole class
-    at a time (:meth:`detect_class`): one packed pass per fault
-    hypothesis through both phases, XOR-accumulating per-read weight
-    planes over the corrupted-read planes.  Every other fault costs one
-    O(op_count) subset replay of both phases (:meth:`detect`).
+    Single-cell, intra-word, same-bit inter-word CF and AF classes are
+    answered a whole class at a time (:meth:`detect_class`): packed
+    word-lane or pair-lane passes through both phases, XOR-accumulating
+    per-read weights over the corrupted read bits.  Every other fault
+    costs one O(op_count) subset replay of both phases
+    (:meth:`detect_pair`).
 
     The same replay answers the *aliasing* oracle (:meth:`detect_pair`)
     for free: the test-phase stream verdict is whether any replayed
@@ -1342,16 +1225,22 @@ class _SignatureContext(_WordLanes):
     # -- class-level dispatch ------------------------------------------
     def has_class_kernel(self, faults: Sequence[Fault]) -> bool:
         """True when :meth:`detect_class` answers *faults*: a non-empty
-        streaming single-cell or intra-word class at this session's
-        geometry, over a clean fault-free test stream.  A fault-free
+        streaming single-cell, intra-word or same-bit inter-word CF
+        class at this session's geometry, or AF class at its
+        ``n_words``, over a clean fault-free test stream.  A fault-free
         mismatch would make every fault's stream verdict depend on
         words outside its lane."""
-        return (
+        if (
+            not isinstance(faults, FaultClass)
+            or not len(faults)
+            or self.test_mismatch_addrs
+        ):
+            return False
+        if isinstance(faults, AddressFaultClass):
+            return faults.n_words == self.n_words
+        return (faults.n_words, faults.width) == (self.n_words, self.width) and (
             isinstance(faults, _LANE_CLASSES)
-            and faults.n_words == self.n_words
-            and faults.width == self.width
-            and len(faults) > 0
-            and not self.test_mismatch_addrs
+            or (isinstance(faults, InterWordCFClass) and faults.same_bit_only)
         )
 
     def detect_class(self, fault_class: FaultClass) -> PackedPairVerdicts:
@@ -1364,6 +1253,10 @@ class _SignatureContext(_WordLanes):
         if verdicts is None:
             if isinstance(fault_class, IntraWordCFClass):
                 verdicts = self._intra_cf_class(fault_class)
+            elif isinstance(fault_class, AddressFaultClass):
+                verdicts = self._af_class(fault_class)
+            elif isinstance(fault_class, InterWordCFClass):
+                verdicts = self._inter_cf_class(fault_class)
             else:
                 verdicts = self._single_cell_class(fault_class)
             self._class_verdicts[fault_class] = verdicts
@@ -1416,6 +1309,151 @@ class _SignatureContext(_WordLanes):
         return PackedPairVerdicts(
             PackedVerdicts(n, stream, stride=stride, slot_stride=self.width),
             PackedVerdicts(n, signature, stride=stride, slot_stride=self.width),
+        )
+
+    def _af_class(self, fault_class: AddressFaultClass) -> PackedPairVerdicts:
+        """AF-none lanes (the first ``n`` faults) are stateless word
+        lanes: every read of the dead address returns 0, so its error is
+        the fault-free raw word and the weight planes apply as they are.
+        AF-other and AF-multi replay the compare kernel's pair lanes
+        (:func:`_af_lanes`) through both phases, each read's fault-free
+        raw and weight planes gathered into the lanes' A and B words.
+        AF errors span the word, so a lane's signature delta bit *m* is
+        the parity (XOR fold) of its ``acc[m]`` bits."""
+        n, w, mask = self.n_words, self.width, self.test.word_mask
+        lanes = _af_lanes(self.words, w, mask, fault_class.wired_or)
+        pair_det, reads = self._pair_lane_session(lanes, w)
+        shifts = range(0, n * w, w)
+
+        def gather(plane: int) -> tuple[int, int]:
+            return lanes.gather([(plane >> s) & mask for s in shifts])
+
+        det = 0
+        acc = [0] * self.misr_width
+        pair_acc = [0] * self.misr_width
+        reads = iter(reads)
+        prediction, test = self._session_schedule()
+        for phase in (prediction, test):
+            for steps in phase:
+                for is_read, relative, mrep, fault_free, weights in steps:
+                    if not is_read:
+                        continue
+                    if phase is test:
+                        det |= (self._packed ^ mrep) if relative else mrep
+                    acc = [a ^ (fault_free & wt) for a, wt in zip(acc, weights)]
+                    raw_a, raw_b = next(reads)
+                    ff_a, ff_b = gather(fault_free)
+                    err_a, err_b = raw_a ^ ff_a, raw_b ^ ff_b
+                    if err_a | err_b:
+                        for m, plane in enumerate(weights):
+                            w_a, w_b = gather(plane)
+                            pair_acc[m] ^= (err_a & w_a) ^ (err_b & w_b)
+        stream = self._lane_any(det, n) | (
+            self._lane_any(pair_det, lanes.n_lanes) << (n * w)
+        )
+        signature = self._parity_gap_differs(acc, n, w) | (
+            self._parity_gap_differs(pair_acc, lanes.n_lanes, w) << (n * w)
+        )
+        return _lane_pairs(len(fault_class), stream, signature, w)
+
+    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PackedPairVerdicts:
+        """Same-bit inter-word CF lanes (:func:`_inter_cf_lanes`) through
+        both phases, at lane stride ``S = max(width + 1, misr_width)``.
+
+        A coupling fault only corrupts its victim bit, and every store
+        to the victim word is absolute or derived from a read of that
+        word, so the victim word never differs from the fault-free run
+        elsewhere: a lane's error at a victim visit is at most that
+        bit.  ``hit`` (``err + word_mask`` carries into bit *width*)
+        flags it at the lane's bit 0, and ``acc`` XORs in that read
+        bit's whole *misr_width*-bit weight row, gathered per pair from
+        the victim address's stream index ``base_e + position(v) *
+        reads_e + j`` (the :func:`_read_slices` order).  Each lane of
+        ``acc`` is then its signature delta."""
+        w, mw, n = self.width, self.misr_width, self.n_words
+        stride = max(w + 1, mw)
+        lanes = _inter_cf_lanes(fault_class, self.words, stride, self.test.word_mask)
+        det, reads = self._pair_lane_session(lanes, stride)
+        ones = self._lane_ones(lanes.n_lanes, stride)
+        carry = ones * self.test.word_mask
+        row_mask = (1 << mw) - 1
+        victims = [v.addr for _, v in lanes.cells]
+        folds = [self.fold_positions[v.bit] for _, v in lanes.cells]
+        acc = 0
+        reads = iter(reads)
+        for program, raw, weights in (
+            (self.prediction, self.prediction_raw, self.prediction_weights),
+            (self.test, self.test_raw, self.test_weights),
+        ):
+            for ks in _read_slices(_layout(program), n):
+                _, raw_b = next(reads)
+                kv = [ks[v] for v in victims]
+                err = raw_b ^ lanes.gather([raw[k] for k in kv])
+                if err:
+                    hit = ((err + carry) >> w) & ones
+                    rows = lanes.gather([weights[k][f] for k, f in zip(kv, folds)])
+                    acc ^= (hit * row_mask) & rows
+        return _lane_pairs(
+            len(fault_class),
+            self._lane_any(det, lanes.n_lanes, stride),
+            self._lane_any(acc ^ (ones * self.fault_free_gap), lanes.n_lanes, stride),
+            stride,
+        )
+
+    def _pair_lane_session(
+        self, lanes: _PairLanes, stride: int
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """Both session phases over pair lanes of *stride* bits, state
+        carried from prediction into test, each element visiting a
+        lane's two words in address order (as
+        :meth:`_CampaignContext._pair_lane_run`).
+
+        Returns ``(det, reads)``: ``det`` marks test-phase reads that
+        disagree with the session snapshot (the stream verdict), and
+        ``reads`` holds, per read of both phases in program order, the
+        raw planes its A visits and its B visits returned."""
+        n_lanes, lower, snap_a, snap_b, fetch, store = lanes[:6]
+        upper = ((1 << (n_lanes * stride)) - 1) ^ lower
+        ones = self._lane_ones(n_lanes, stride)
+        det = 0
+        reads = []
+        for program in (self.prediction, self.test):
+            check = program is self.test
+            for element in program.elements:
+                steps = [
+                    (is_read, relative, mask * ones)
+                    for is_read, relative, mask, _ok in element.steps
+                ]
+                first, second = (upper, lower) if element.descending else (lower, upper)
+                raws = []
+                for sel in (first, second):
+                    snap = (snap_a & sel) | (snap_b & ~sel)
+                    last_raw = 0
+                    last_mask = 0
+                    for is_read, relative, mrep in steps:
+                        if is_read:
+                            raw = fetch(sel)
+                            raws.append(raw)
+                            if check:
+                                det |= raw ^ ((snap ^ mrep) if relative else mrep)
+                            last_raw, last_mask = raw, mrep
+                        elif relative:
+                            store(sel, last_raw ^ last_mask ^ mrep)
+                        else:
+                            store(sel, mrep)
+                n_reads = element.n_reads
+                for one, two in zip(raws[:n_reads], raws[n_reads:]):
+                    reads.append(
+                        ((one & first) | (two & second), (one & second) | (two & first))
+                    )
+        return det, reads
+
+    def _parity_gap_differs(self, acc: Sequence[int], n_lanes: int, stride: int) -> int:
+        """:meth:`_gap_differs` of delta planes whose lane delta bit is
+        the parity of the lane's bits."""
+        return self._gap_differs(
+            [self._lane_any(a, n_lanes, stride, parity=True) for a in acc],
+            self._lane_ones(n_lanes, stride),
         )
 
     def _gap_differs(self, deltas: Sequence[int], ones: int) -> int:
@@ -1531,8 +1569,7 @@ class _SignatureContext(_WordLanes):
             (self.prediction, self.prediction_raw),
             (self.test, self.test_raw),
         ):
-            # All the stream order depends on (and the cache key).
-            layout = tuple((e.descending, e.n_reads) for e in program.elements)
+            layout = _layout(program)
             reads = zip(
                 [
                     pack_words([raw[k] for k in ks], w)
@@ -1553,27 +1590,10 @@ class _SignatureContext(_WordLanes):
         return phases[0], phases[1]
 
     # -- per-fault dispatch --------------------------------------------
-    def detect(self, fault: Fault) -> bool:
-        fault.validate(self.n_words, self.width)
-        support = _SubsetSim.support(fault)
-        if support is None:
-            return self._fallback(fault)
-        sim = _SubsetSim(
-            fault, {a: self.words[a] for a in support}, self.width
-        )
-        delta, _ = self._phase_delta(
-            self.prediction, sim, support, self.prediction_raw,
-            self.prediction_weights,
-        )
-        test_delta, _ = self._phase_delta(
-            self.test, sim, support, self.test_raw, self.test_weights
-        )
-        return (delta ^ test_delta) != self.fault_free_gap
-
     def detect_pair(self, fault: Fault) -> tuple[bool, bool]:
         """``(stream_detected, signature_detected)`` of one session,
         bit-identical to :class:`~repro.bist.controller.TransparentBist`
-        on the same fault, from the same single subset replay."""
+        on the same fault, from one subset replay of both phases."""
         fault.validate(self.n_words, self.width)
         support = _SubsetSim.support(fault)
         if support is None:
@@ -1588,11 +1608,11 @@ class _SignatureContext(_WordLanes):
         session_snap = dict(sim.words)
         delta, _ = self._phase_delta(
             self.prediction, sim, support, self.prediction_raw,
-            self.prediction_weights,
+            self.prediction_weights, None,
         )
         test_delta, mismatched = self._phase_delta(
             self.test, sim, support, self.test_raw, self.test_weights,
-            expected_snap=session_snap,
+            session_snap,
         )
         if not mismatched and self.test_mismatch_addrs:
             mismatched = any(
@@ -1607,22 +1627,21 @@ class _SignatureContext(_WordLanes):
         addrs: tuple[int, ...],
         fault_free_raw: Sequence[int],
         weights: Sequence[Sequence[int]],
-        expected_snap: "dict[int, int] | None" = None,
+        session_snap: "dict[int, int] | None",
     ) -> tuple[int, bool]:
         """Subset replay of one phase, XOR-accumulating the signature
-        weights of every corrupted read bit.
+        weights of every corrupted read bit.  With *session_snap* (the
+        session snapshot of the support words) it also reports whether
+        any read disagreed with its expected value — the compare-oracle
+        stream verdict over the support.
 
         The fault-free stream index of the *j*-th read of address *a*
         in element *e* is ``base_e + position(a) * reads_e + j`` —
         exactly the order the interpreter emits reads in.
-
-        With *expected_snap* (the session snapshot of the support
-        words) the replay additionally reports whether any read
-        disagreed with its snapshot-derived expected value — the
-        compare-oracle stream verdict over the support.
         """
         delta = 0
         mismatched = False
+        check = session_snap is not None
         n_words = self.n_words
         fold_positions = self.fold_positions
         ascending = sorted(addrs)
@@ -1642,13 +1661,11 @@ class _SignatureContext(_WordLanes):
                 k = base + position * n_reads
                 last_raw = 0
                 last_mask = 0
-                snap_word = (
-                    expected_snap[addr] if expected_snap is not None else 0
-                )
+                snap_word = session_snap[addr] if check else 0
                 for is_read, relative, mask, _ok in steps:
                     if is_read:
                         raw = fetch(addr)
-                        if expected_snap is not None and not mismatched:
+                        if check and not mismatched:
                             expected = (snap_word ^ mask) if relative else mask
                             mismatched = raw != expected
                         err = raw ^ fault_free_raw[k]
@@ -1671,11 +1688,6 @@ class _SignatureContext(_WordLanes):
         return delta, mismatched
 
     # -- fallback ------------------------------------------------------
-    def _fallback(self, fault: Fault) -> bool:
-        """Full-fidelity two-phase session for fault kinds without
-        subset semantics (user-defined models)."""
-        return self._fallback_pair(fault)[1]
-
     def _fallback_pair(self, fault: Fault) -> tuple[bool, bool]:
         """Full-fidelity two-phase session reporting the
         ``(stream, signature)`` pair verdict."""
@@ -1705,6 +1717,161 @@ class _SignatureContext(_WordLanes):
         )
 
 
+class _PairLanes(NamedTuple):
+    """One two-word fault per lane: the layout and fault semantics a
+    pair-lane replay needs, shared by the compare and session kernels.
+
+    Word A (the faulty or aggressor address, snapshot plane *snap_a*)
+    and word B (*snap_b*); *lower* marks the lanes whose A address is
+    the lower one.  ``fetch(sel)``/``store(sel, value)`` carry the fault
+    semantics, with *sel* the lanes visiting A.  ``gather`` spreads
+    per-address (AF) or per-pair (CF) values into the lane layout;
+    inter-word CF lanes also keep their pairs' *cells*."""
+
+    n_lanes: int
+    lower: int
+    snap_a: int
+    snap_b: int
+    fetch: Callable[[int], int]
+    store: Callable[[int, int], None]
+    gather: Callable
+    cells: tuple = ()
+
+
+def _af_lanes(
+    words: Sequence[int], stride: int, word_mask: int, wired_or: bool
+) -> _PairLanes:
+    """AF-other and AF-multi faults of an *n*-word memory (none for
+    ``n = 1``) as pair lanes of *stride* bits: lane ``2*perm + which`` in class
+    order, word B the other address's cell ``X_o`` (which every store
+    to either address writes), word A the faulty address's own cell
+    ``X_a`` (kept by multi lanes only, and wired with ``X_o`` on reads
+    of the faulty address) — :meth:`_SubsetSim.fetch`/``store``
+    lane-parallel.
+
+    ``gather(values)`` returns the (A, B) planes of one value per
+    address from shifts of packed values, not per-lane lists: block
+    ``a`` (the ``2*(n-1)`` lanes of faulty address ``a``) of the A
+    plane repeats ``values[a]``; of the B plane it is the doubled
+    values with address ``a`` cut out.
+    """
+    n = len(words)
+    pair = 2 * stride  # the (other, multi) lanes of one address pair
+    block = pair * (n - 1)
+    ones = (1 << block) - 1
+    # Lanes whose faulty address is the lower one: in block a, every
+    # other address past the first a.
+    lower = pack_words([(ones >> (pair * a)) << (pair * a) for a in range(n)], block)
+    block_lanes = replicate_mask(1, 2 * (n - 1), stride)
+
+    def gather(values: Sequence[int]) -> tuple[int, int]:
+        doubled = pack_words([x | (x << stride) for x in values], pair)
+        other = pack_words(
+            [
+                (doubled & ((1 << (pair * a)) - 1))
+                | ((doubled >> (pair * (a + 1))) << (pair * a))
+                for a in range(n)
+            ],
+            block,
+        )
+        return pack_words(values, block) * block_lanes, other
+
+    multi = replicate_mask(word_mask << stride, n * (n - 1), pair)
+    x_a, x_o = snap_a, snap_b = gather(words)
+
+    def fetch(sel: int) -> int:
+        wired = multi & sel
+        if wired_or:
+            return x_o | (x_a & wired)
+        return x_o & (x_a | ~wired)
+
+    def store(sel: int, value: int) -> None:
+        nonlocal x_o, x_a
+        wired = multi & sel
+        x_o = value
+        x_a = (x_a & ~wired) | (value & wired)
+
+    return _PairLanes(2 * n * (n - 1), lower, snap_a, snap_b, fetch, store, gather)
+
+
+def _inter_cf_lanes(
+    fault_class: InterWordCFClass,
+    words: Sequence[int],
+    stride: int,
+    word_mask: int,
+) -> _PairLanes:
+    """The same-bit inter-word coupling faults of *fault_class* as pair
+    lanes of *stride* bits: lane ``pair_pos*variants + variant`` (the
+    class order) holds the pair's aggressor (A) and victim (B) words,
+    with per-lane masks for the shared aggressor/victim bit and the
+    variant's ``x``/``y``/``rising`` parameters —
+    :meth:`_CampaignContext._coupling` lane-parallel: CFst enforced
+    after the load and every store, CFid/CFin triggered by aggressor
+    transitions.  ``gather(values)`` copies one value per pair into
+    each of its variant lanes."""
+    variants = fault_class.variants
+    cells = tuple(fault_class.pair_cells(p) for p in range(fault_class.n_pairs))
+    span = variants * stride
+    spread = replicate_mask(1, variants, stride)
+
+    def per_pair(values: list[int]) -> int:
+        return pack_words(values, span) * spread
+
+    aggr = per_pair([words[a.addr] for a, _ in cells])
+    victim = per_pair([words[v.addr] for _, v in cells])
+    bit = per_pair([1 << a.bit for a, _ in cells])
+    lower = per_pair([word_mask if a.addr < v.addr else 0 for a, v in cells])
+    params = [_cf_params(fault_class.cf_kind, k) for k in range(variants)]
+
+    def lanes_where(index: int) -> int:
+        pattern = sum(
+            word_mask << (k * stride) for k, p in enumerate(params) if p[index]
+        )
+        return replicate_mask(pattern, len(cells), span) & bit
+
+    rising, x_bit, y_bit = (lanes_where(i) for i in range(3))
+    cf_kind = fault_class.cf_kind
+
+    def enforce() -> None:
+        nonlocal victim
+        cond = ~(aggr ^ y_bit) & bit
+        victim = (victim & ~cond) | (cond & x_bit)
+
+    if cf_kind == "CFst":
+        enforce()  # the loaded content already expresses the defect
+
+    def fetch(sel: int) -> int:
+        return (aggr & sel) | (victim & ~sel)
+
+    def store(sel: int, value: int) -> None:
+        nonlocal aggr, victim
+        old = aggr
+        aggr = (aggr & ~sel) | (value & sel)
+        victim = (victim & sel) | (value & ~sel)
+        if cf_kind == "CFst":
+            enforce()
+            return
+        trig = (old ^ aggr) & ~(aggr ^ rising) & bit
+        if cf_kind == "CFid":
+            victim = (victim & ~trig) | (trig & x_bit)
+        else:
+            victim ^= trig
+
+    return _PairLanes(
+        len(cells) * variants, lower, aggr, victim, fetch, store, per_pair, cells
+    )
+
+
+def _lane_pairs(
+    count: int, stream: int, signature: int, stride: int
+) -> PackedPairVerdicts:
+    """One-vector pair verdicts, each fault's at its lane's bit 0."""
+    return PackedPairVerdicts(
+        PackedVerdicts(count, (stream,), slot_stride=stride),
+        PackedVerdicts(count, (signature,), slot_stride=stride),
+    )
+
+
 def _cf_params(cf_kind: str, variant: int) -> tuple[bool, int, int]:
     """``(rising, x, y)`` of coupling variant *variant* of *cf_kind*, in
     the enumeration order of :func:`~repro.memory.injection._cf_variant`
@@ -1717,6 +1884,12 @@ def _cf_params(cf_kind: str, variant: int) -> tuple[bool, int, int]:
         half, x = divmod(variant, 2)
         return half == 0, x, 0
     return variant == 0, 0, 0
+
+
+def _layout(program: MarchProgram) -> tuple:
+    """``(descending, n_reads)`` per element: all a phase's read stream
+    order depends on (and the weight-plane cache key)."""
+    return tuple((e.descending, e.n_reads) for e in program.elements)
 
 
 def _read_slices(layout, n_words: int):

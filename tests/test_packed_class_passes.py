@@ -614,10 +614,18 @@ class TestPairLaneKernelPaths:
 
 
 def _session(name, width, n_words, seed, misr_width, misr_seed):
-    twm = twm_transform(catalog.get(name), width)
+    # A hand-written test is its own prediction: a user-supplied
+    # prediction with writes, whose state carries into the test phase.
+    if name in _HAND_WRITTEN:
+        from repro.core.notation import parse_march
+
+        test = prediction = parse_march(name, name=name)
+    else:
+        twm = twm_transform(catalog.get(name), width)
+        test, prediction = twm.twmarch, twm.prediction
     return batch_module._SignatureContext(
-        compile_march(twm.prediction, width),
-        compile_march(twm.twmarch, width),
+        compile_march(prediction, width),
+        compile_march(test, width),
         n_words,
         _words(n_words, width, seed),
         misr_width,
@@ -630,26 +638,49 @@ def _session(name, width, n_words, seed, misr_width, misr_seed):
 _MISR_CONFIGS = ((1, 0), (3, 5), (16, 0), (16, 0xBEEF), (1, 3), (3, 0))
 
 
+def _session_classes(n_words, width, seed):
+    """Word-lane and (``pair-`` prefixed) pair-lane session kernel
+    classes."""
+    pair_lane = _pair_lane_classes(n_words, width, seed)
+    return {
+        **_classes(n_words, width),
+        **{f"pair-{cname}": fc for cname, fc in pair_lane.items()},
+    }
+
+
 class TestSessionClassKernels:
     """Packed session class kernels == per-fault replay == reference."""
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
-    @pytest.mark.parametrize("name", ["March C-", "MATS+"])
+    @pytest.mark.parametrize("name", ["March C-", "MATS+", *_HAND_WRITTEN])
     def test_matches_per_fault_pairs(self, name, width):
         config = 0
+        # Signature misses and aliased pairs of the pair-lane classes.
+        live = {"AF": [0, 0], "CF": [0, 0]}
         for n in (1, 2, 3, 5):
             for seed in (1, 2):
                 misr_width, misr_seed = _MISR_CONFIGS[config % 6]
                 config += 1
                 ctx = _session(name, width, n, seed, misr_width, misr_seed)
-                for cname, fc in _classes(n, width).items():
-                    assert ctx.has_class_kernel(fc), cname
+                for cname, fc in _session_classes(n, width, seed).items():
+                    # Only the inter-word CF classes at one word are empty.
+                    assert ctx.has_class_kernel(fc) == (len(fc) > 0), cname
+                    if not len(fc):
+                        continue
                     packed = ctx.detect_class(fc)
                     assert len(packed) == len(fc)
                     expected = [ctx.detect_pair(f) for f in fc]
                     assert packed.tolist() == expected, (
                         n, seed, misr_width, misr_seed, cname,
                     )
+                    key = cname[5:7]
+                    if cname.startswith("pair-"):
+                        live[key][0] += sum(not sig for _, sig in expected)
+                        live[key][1] += sum(st and not sig for st, sig in expected)
+        if name not in _HAND_WRITTEN:
+            # Both kernels must reproduce signature misses and aliasing,
+            # not only detections.
+            assert all(all(counts) for counts in live.values()), live
 
     @pytest.mark.parametrize("name", ["March C-", "MATS+"])
     def test_matches_reference_engine(self, name):
@@ -665,7 +696,7 @@ class TestSessionClassKernels:
             words = _words(n, width, seed=n + width)
             args = (twm.twmarch, twm.prediction, n, width, words)
             kwargs = {"misr_width": misr_width, "misr_seed": misr_seed}
-            for cname, fc in _classes(n, width).items():
+            for cname, fc in _session_classes(n, width, n).items():
                 pairs = batch.detect_class_aliasing_batch(*args, fc, **kwargs)
                 assert isinstance(pairs, PackedPairVerdicts)
                 expected = reference.detect_aliasing_batch(
@@ -699,7 +730,7 @@ class TestSessionClassKernels:
             ctx = batch.build_session_context(
                 twm.twmarch, prediction, n, width, words, misr_width=misr_width
             )
-            for cname, fc in _classes(n, width).items():
+            for cname, fc in _session_classes(n, width, 9).items():
                 assert ctx.has_class_kernel(fc), cname
                 pairs = batch.detect_class_aliasing_batch(
                     twm.twmarch, prediction, n, width, words, fc,
@@ -709,6 +740,34 @@ class TestSessionClassKernels:
                     twm.twmarch, prediction, n, width, words, list(fc),
                     misr_width=misr_width,
                 ), (misr_width, cname)
+
+
+    def test_prediction_reads_outside_test_stream(self):
+        # The prediction reads ~c, the test only c: an AF-none fault at
+        # a zero word escapes the test stream but not the prediction's,
+        # so the stream verdict must come from the test phase alone.
+        from repro.core.notation import parse_march
+
+        test = parse_march("⇑(rc,wc);⇓(rc)", name="c-only")
+        prediction = parse_march("⇕(r~c)", name="inverse-prediction")
+        batch = get_engine("batch")
+        reference = get_engine("reference")
+        n, width = 3, 4
+        words = [0, 9, 0]
+        for misr_width in (1, 3):
+            args = (test, prediction, n, width, words)
+            ctx = batch.build_session_context(*args, misr_width=misr_width)
+            for cname, fc in _session_classes(n, width, 3).items():
+                assert ctx.has_class_kernel(fc), cname
+                pairs = batch.detect_class_aliasing_batch(
+                    *args, fc, misr_width=misr_width, context=ctx
+                )
+                expected = reference.detect_aliasing_batch(
+                    *args, list(fc), misr_width=misr_width
+                )
+                assert pairs.tolist() == expected, (misr_width, cname)
+                if cname == "pair-AF":
+                    assert not expected[0][0]  # AF-none at word 0
 
 
 @pytest.fixture
@@ -765,42 +824,39 @@ class TestSessionKernelPaths:
 
     def test_streaming_kernel_classes_skip_subset_replay(self, session_probes):
         twm = twm_transform(catalog.get("March C-"), self.W)
-        universe = self._universe()
-        kernel = {
-            name: fc
-            for name, fc in universe.items()
-            if isinstance(fc, batch_module._LANE_CLASSES)
-        }
+        kernel = self._universe()
         assert set(kernel) == {
             "SAF", "TF", "RDF", "DRDF", "CFst-intra", "CFid-intra",
-            "CFin-intra",
+            "CFin-intra", "CFst-inter", "CFid-inter", "CFin-inter", "AF",
         }
-        rest = {k: v for k, v in universe.items() if k not in kernel}
         with CampaignRunner("batch", 1) as runner:
             reports = [
                 run_campaign(flow, kernel, runner=runner)
                 for flow in self._flows(twm.twmarch, twm.prediction)
             ]
+        # Word lanes and pair lanes alike: no subset replay at all.
         assert session_probes["subset"] == 0
         assert session_probes["phase_delta"] == 0
         # Signature then aliasing on one runner: one context build,
         # reused by the aliasing pass, and one weight-plane build.
         assert [r.context_stats.builds for r in reports] == [1, 0]
         assert session_probes["schedule"] == 1
-        # The other classes keep the per-fault replay.
-        run_campaign(
-            self._flows(twm.twmarch, twm.prediction)[1], rest, engine="batch"
+        # Cross-bit inter-word CF keeps the per-fault replay.
+        cross = InterWordCFClass(
+            self.N, self.W, "CFst", same_bit_only=False,
+            max_pairs=6, rng=random.Random(4),
         )
-        assert session_probes["subset"] > 0
-        assert session_probes["phase_delta"] > 0
+        run_campaign(
+            self._flows(twm.twmarch, twm.prediction)[1],
+            {"CFst-cross": cross},
+            engine="batch",
+        )
+        assert session_probes["subset"] == len(cross)
+        assert session_probes["phase_delta"] == 2 * len(cross)
 
     def test_materialized_lists_keep_per_fault_path(self, session_probes):
         twm = twm_transform(catalog.get("March C-"), self.W)
-        streaming = {
-            name: fc
-            for name, fc in self._universe().items()
-            if isinstance(fc, batch_module._LANE_CLASSES)
-        }
+        streaming = self._universe()
         lists = {name: list(fc) for name, fc in streaming.items()}
         for flow in self._flows(twm.twmarch, twm.prediction):
             fast = run_campaign(flow, streaming, engine="batch")
@@ -831,6 +887,13 @@ class TestSessionKernelPaths:
             StuckAtClass(self.N, 2),
             TransitionClass(self.N - 1, self.W),
             IntraWordCFClass(self.N, 2, "CFst"),
+            AddressFaultClass(self.N - 1),
+            InterWordCFClass(self.N - 1, self.W, "CFid"),
+            InterWordCFClass(self.N, self.W // 2, "CFst"),
+            InterWordCFClass(
+                self.N, self.W, "CFin", same_bit_only=False,
+                max_pairs=8, rng=random.Random(1),
+            ),
         ):
             assert not ctx.has_class_kernel(fc)
             before = session_probes["phase_delta"]
@@ -852,7 +915,7 @@ class TestSessionKernelPaths:
         args = (test, prediction, self.N, self.W, words)
         ctx = get_engine("batch").build_session_context(*args, misr_width=3)
         assert ctx.test_mismatch_addrs
-        for fc in _classes(self.N, self.W).values():
+        for fc in _session_classes(self.N, self.W, 2).values():
             assert not ctx.has_class_kernel(fc)
             self._per_fault_equal(ctx, args, fc, {"misr_width": 3})
         assert session_probes["schedule"] == 0
@@ -868,14 +931,30 @@ class TestSessionKernelPaths:
         batch = get_engine("batch")
         reference = get_engine("reference")
         assert batch.build_session_context(*args) is None
-        fc = StuckAtClass(self.N, self.W)
-        with pytest.raises(ExecutionError):
-            reference.detect_aliasing_batch(*args, list(fc))
-        with pytest.raises(ExecutionError):
-            batch.detect_class_aliasing_batch(*args, fc)
-        with pytest.raises(ExecutionError):
-            batch.detect_class_signature_batch(*args, fc)
+        pair_lane = _pair_lane_classes(self.N, self.W, 1)
+        for fc in (StuckAtClass(self.N, self.W), *pair_lane.values()):
+            with pytest.raises(ExecutionError):
+                reference.detect_aliasing_batch(*args, list(fc))
+            with pytest.raises(ExecutionError):
+                batch.detect_class_aliasing_batch(*args, fc)
+            with pytest.raises(ExecutionError):
+                batch.detect_class_signature_batch(*args, fc)
         assert session_probes["schedule"] == 0
+
+    @pytest.mark.parametrize("n_words", [1, 2])
+    def test_edge_geometries(self, session_probes, n_words):
+        # One word: AF is AF-none only, and the inter-word classes are
+        # empty, so only AF takes a kernel.
+        ctx = _session("March C-", self.W, n_words, 7, 3, 5)
+        for cname, fc in _pair_lane_classes(n_words, self.W, 7).items():
+            if n_words == 1:
+                assert len(fc) == (1 if cname.startswith("AF") else 0)
+            assert ctx.has_class_kernel(fc) == (len(fc) > 0), cname
+            if len(fc):
+                packed = ctx.detect_class(fc)
+                assert session_probes["phase_delta"] == 0
+                assert packed.tolist() == [ctx.detect_pair(f) for f in fc]
+                session_probes["phase_delta"] = 0
 
 
 class TestSymbolicFamilyTables:
