@@ -102,9 +102,9 @@ class _FallbackCounter:
     def __init__(self) -> None:
         self.calls = 0
         self._compare = batch_module._CampaignContext._fallback
-        # The signature-only fallback delegates to the pair fallback,
-        # so wrapping the pair entry point counts both the signature
-        # and the aliasing oracle exactly once per fallback.
+        # The session context has one fallback, ``_fallback_pair``:
+        # both session oracles reach it through ``detect_pair``, so
+        # wrapping it counts each of their fallbacks exactly once.
         self._signature = batch_module._SignatureContext._fallback_pair
 
     def __enter__(self) -> "_FallbackCounter":

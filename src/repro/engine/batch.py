@@ -666,9 +666,10 @@ class _CampaignContext(_WordLanes):
         :meth:`_subset_detect` does.  The step semantics are the subset
         replay's, and the returned plane accumulates every read's
         mismatch (the lane OR is the verdict; detection is monotone)."""
-        n_lanes, lower, snap_a, snap_b, fetch, store = lanes[:6]
-        upper = ((1 << (n_lanes * self.width)) - 1) ^ lower
-        ones = self._lane_ones(n_lanes)
+        fetch, store, lower = lanes.fetch, lanes.store, lanes.lower
+        snap_a, snap_b = lanes.snap_a, lanes.snap_b
+        upper = ((1 << (lanes.n_lanes * self.width)) - 1) ^ lower
+        ones = self._lane_ones(lanes.n_lanes)
         derive = self.derive
         det = 0
         for element in self.program.elements:
@@ -1332,13 +1333,12 @@ class _SignatureContext(_WordLanes):
         acc = [0] * self.misr_width
         pair_acc = [0] * self.misr_width
         reads = iter(reads)
-        prediction, test = self._session_schedule()
-        for phase in (prediction, test):
+        for check, phase in zip((False, True), self._session_schedule()):
             for steps in phase:
                 for is_read, relative, mrep, fault_free, weights in steps:
                     if not is_read:
                         continue
-                    if phase is test:
+                    if check:
                         det |= (self._packed ^ mrep) if relative else mrep
                     acc = [a ^ (fault_free & wt) for a, wt in zip(acc, weights)]
                     raw_a, raw_b = next(reads)
@@ -1377,8 +1377,9 @@ class _SignatureContext(_WordLanes):
         ones = self._lane_ones(lanes.n_lanes, stride)
         carry = ones * self.test.word_mask
         row_mask = (1 << mw) - 1
-        victims = [v.addr for _, v in lanes.cells]
-        folds = [self.fold_positions[v.bit] for _, v in lanes.cells]
+        cells = [fault_class.pair_cells(p)[1] for p in range(fault_class.n_pairs)]
+        victims = [v.addr for v in cells]
+        folds = [self.fold_positions[v.bit] for v in cells]
         acc = 0
         reads = iter(reads)
         for program, raw, weights in (
@@ -1412,13 +1413,15 @@ class _SignatureContext(_WordLanes):
         disagree with the session snapshot (the stream verdict), and
         ``reads`` holds, per read of both phases in program order, the
         raw planes its A visits and its B visits returned."""
-        n_lanes, lower, snap_a, snap_b, fetch, store = lanes[:6]
-        upper = ((1 << (n_lanes * stride)) - 1) ^ lower
-        ones = self._lane_ones(n_lanes, stride)
+        fetch, store, lower = lanes.fetch, lanes.store, lanes.lower
+        snap_a, snap_b = lanes.snap_a, lanes.snap_b
+        upper = ((1 << (lanes.n_lanes * stride)) - 1) ^ lower
+        ones = self._lane_ones(lanes.n_lanes, stride)
         det = 0
         reads = []
-        for program in (self.prediction, self.test):
-            check = program is self.test
+        # The phase is picked by position: a test run as its own
+        # prediction is the very same program object.
+        for check, program in ((False, self.prediction), (True, self.test)):
             for element in program.elements:
                 steps = [
                     (is_read, relative, mask * ones)
@@ -1506,9 +1509,7 @@ class _SignatureContext(_WordLanes):
         snap = state  # the controller's session snapshot
         det = 0
         acc = [0] * self.misr_width
-        prediction, test = self._session_schedule()
-        for phase in (prediction, test):
-            check = phase is test
+        for check, phase in zip((False, True), self._session_schedule()):
             for steps in phase:
                 last_raw = 0
                 last_mask = 0
@@ -1725,8 +1726,7 @@ class _PairLanes(NamedTuple):
     and word B (*snap_b*); *lower* marks the lanes whose A address is
     the lower one.  ``fetch(sel)``/``store(sel, value)`` carry the fault
     semantics, with *sel* the lanes visiting A.  ``gather`` spreads
-    per-address (AF) or per-pair (CF) values into the lane layout;
-    inter-word CF lanes also keep their pairs' *cells*."""
+    per-address (AF) or per-pair (CF) values into the lane layout."""
 
     n_lanes: int
     lower: int
@@ -1735,7 +1735,6 @@ class _PairLanes(NamedTuple):
     fetch: Callable[[int], int]
     store: Callable[[int, int], None]
     gather: Callable
-    cells: tuple = ()
 
 
 def _af_lanes(
@@ -1857,9 +1856,8 @@ def _inter_cf_lanes(
         else:
             victim ^= trig
 
-    return _PairLanes(
-        len(cells) * variants, lower, aggr, victim, fetch, store, per_pair, cells
-    )
+    n_lanes = len(cells) * variants
+    return _PairLanes(n_lanes, lower, aggr, victim, fetch, store, per_pair)
 
 
 def _lane_pairs(

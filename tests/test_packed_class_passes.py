@@ -393,10 +393,17 @@ def _pair_lane_classes(n_words, width, seed):
 
 
 # Beyond the catalog TWMarches: a test whose AF-none verdict depends on
-# the content (its only reads expect the snapshot itself), and one that
-# is clean only on the derived-write datapath (a relative write after
-# an absolute read).
-_HAND_WRITTEN = ("⇑(rc,wc);⇓(rc)", "⇕(w0);⇑(r0,wc,r0);⇓(r0,w1,r1)")
+# the content (its only reads expect the snapshot itself), one that is
+# clean only on the derived-write datapath (a relative write after an
+# absolute read), and one whose state changes under a fault in one run
+# are undone by the next (as its own session prediction, a fault flips
+# a victim during the prediction phase and back during the test phase,
+# so only the test phase's reads may decide the stream verdict).
+_HAND_WRITTEN = (
+    "⇑(rc,wc);⇓(rc)",
+    "⇕(w0);⇑(r0,wc,r0);⇓(r0,w1,r1)",
+    "⇑(rc,w~c,r~c,wc)",
+)
 
 
 class TestPairLaneKernels:
