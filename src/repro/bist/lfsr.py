@@ -8,6 +8,8 @@ pattern/address generators in BIST experiments.
 
 from __future__ import annotations
 
+import functools
+
 # width -> tap positions (1-based, tap n is the MSB) of a maximal LFSR.
 TAPS: dict[int, tuple[int, ...]] = {
     2: (2, 1),
@@ -70,6 +72,37 @@ def parity(value: int) -> int:
     return value.bit_count() & 1
 
 
+@functools.lru_cache(maxsize=64)
+def jump_tables(width: int, nbits: int) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the *nbits*-step feedback map of a *width*-bit LFSR.
+
+    For ``nbits <= width`` the *nbits* feedback bits an LFSR shifts in
+    over *nbits* steps are a GF(2)-linear function of its state, so
+    they are the XOR of the images of the state's set bits.  Table *i*
+    maps byte *i* of the state (bits ``8i .. 8i+7``) to the XOR of the
+    images of its bits; the images are those of the basis states
+    ``1 << b``, computed bit-serially once.
+    """
+    if not 1 <= nbits <= width:
+        raise ValueError(f"jump size must be in [1, {width}]")
+    mask = (1 << width) - 1
+    taps = tap_mask(width)
+    images = []
+    for bit in range(width):
+        state = 1 << bit
+        for _ in range(nbits):
+            state = ((state << 1) & mask) | ((state & taps).bit_count() & 1)
+        images.append(state & ((1 << nbits) - 1))
+    tables = []
+    for low in range(0, width, 8):
+        table = [0] * (1 << min(8, width - low))
+        for byte in range(1, len(table)):
+            lsb = byte & -byte
+            table[byte] = table[byte ^ lsb] ^ images[low + lsb.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 class Lfsr:
     """A Fibonacci LFSR with a maximal-length tap set."""
 
@@ -83,6 +116,7 @@ class Lfsr:
         if seed == 0:
             raise ValueError("LFSR seed must be non-zero")
         self.state = seed
+        self._jumps: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def step(self) -> int:
         """Advance one cycle and return the new state."""
@@ -98,18 +132,35 @@ class Lfsr:
         """The next *nbits* pseudo-random bits as one integer.
 
         A Fibonacci LFSR shifts in exactly one fresh feedback bit per
-        step, so this collects one step's new LSB per output bit —
-        consecutive full states are just shifts of each other and must
-        not be concatenated.  The state is plain data (``self.state``),
-        so a checkpointed generator resumes bit-identically by
-        restoring it.
+        step, and the draw is those bits, oldest first — consecutive
+        full states are just shifts of each other and must not be
+        concatenated.  So for ``k <= width`` the ``k``-bit draw is the
+        low ``k`` bits of the state after ``k`` steps, and the register
+        advances a whole draw at a time: one :func:`jump_tables` lookup
+        per state byte yields the ``k`` new bits, the rest of the new
+        state is the old one shifted left by ``k``.  Longer draws split
+        off ``width``-bit chunks (``draw(a + b) == draw(a) << b |
+        draw(b)``).  Bit-identical to ``nbits`` single :meth:`step`
+        calls.  The state is plain data (``self.state``), so a
+        checkpointed generator resumes bit-identically by restoring it.
         """
         if nbits < 1:
             raise ValueError("draw needs at least one bit")
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | (self.step() & 1)
-        return value
+        width = self.width
+        if nbits > width:
+            head = self.draw(nbits - width)
+            return (head << width) | self.draw(width)
+        tables = self._jumps.get(nbits)
+        if tables is None:
+            tables = self._jumps[nbits] = jump_tables(width, nbits)
+        state = self.state
+        bits = 0
+        rest = state
+        for table in tables:
+            bits ^= table[rest & 0xFF]
+            rest >>= 8
+        self.state = ((state << nbits) & self.mask) | bits
+        return bits
 
     def copy(self) -> "Lfsr":
         """An independent LFSR continuing from the current state."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..core.march import MarchTest
 from ..core.signature import prediction_test
@@ -77,14 +77,96 @@ def random_workload(
     return workload
 
 
+_READ, _WRITE, _WRITE_RELATIVE = 0, 1, 2
+
+
+class _Schedule:
+    """One session's flat op schedule: the prediction ops, then the
+    test ops, as parallel lists indexed by op position.
+
+    ``masks[i]`` is the resolved data mask of a read or an absolute
+    write; for a relative write it is the mask of the element's last
+    read XOR its own, so the written value is ``last_raw ^ masks[i]``.
+    ``split`` is the number of prediction ops.
+    """
+
+    __slots__ = ("addrs", "kinds", "masks", "split", "total")
+
+    def __init__(
+        self, prediction: MarchTest, test: MarchTest, n_words: int, width: int
+    ) -> None:
+        self.addrs: list[int] = []
+        self.kinds: list[int] = []
+        self.masks: list[int] = []
+        self._extend(prediction, n_words, width)
+        self.split = len(self.addrs)
+        self._extend(test, n_words, width)
+        self.total = len(self.addrs)
+
+    def _extend(self, test: MarchTest, n_words: int, width: int) -> None:
+        for element in test.elements:
+            resolved = []
+            last_read = None
+            for op in element.ops:
+                mask = op.data.mask.resolve(width)
+                if op.is_read:
+                    resolved.append((_READ, mask))
+                    last_read = mask
+                elif not op.is_relative:
+                    resolved.append((_WRITE, mask))
+                elif last_read is None:
+                    raise ValueError(
+                        f"{test.name}: relative write before any read in its element"
+                    )
+                else:
+                    resolved.append((_WRITE_RELATIVE, last_read ^ mask))
+            for addr in element.order.addresses(n_words):
+                for kind, mask in resolved:
+                    self.addrs.append(addr)
+                    self.kinds.append(kind)
+                    self.masks.append(mask)
+
+
+# Schedules keyed by the identity of the (prediction, test) pair plus the
+# geometry.  Each entry holds its test objects, so an id cannot be reused
+# while its entry lives; a launch costs one small-int tuple hash instead
+# of hashing two march tests.  A soak run alternates between at most two
+# rungs, so a handful of entries is enough; the cache is dropped when full.
+_SCHEDULES: dict[tuple[int, int, int, int], tuple] = {}
+_SCHEDULE_CACHE_SIZE = 4
+
+
+def _session_schedule(
+    test: MarchTest, prediction: MarchTest, n_words: int, width: int
+) -> _Schedule:
+    key = (id(prediction), id(test), n_words, width)
+    entry = _SCHEDULES.get(key)
+    if entry is None:
+        if len(_SCHEDULES) >= _SCHEDULE_CACHE_SIZE:
+            _SCHEDULES.clear()
+        entry = _SCHEDULES[key] = (
+            prediction,
+            test,
+            _Schedule(prediction, test, n_words, width),
+        )
+    return entry[2]
+
+
 class SessionStepper:
     """Incremental two-phase BIST session (prediction then test).
 
-    The stepper owns the snapshot semantics: expected values and
-    prediction corrections refer to the memory content at session start.
-    ``phase`` reports which phase the next operation belongs to
-    (``"prediction"`` or ``"test"``), so a scheduler aborting on an
-    interfering write can attribute the abort to the phase it hit.
+    The session is a flat op schedule (the prediction pass, then the
+    test pass), compiled once per (test pair, geometry) and walked by
+    an index; :meth:`step` runs a plain loop over it with the MISR
+    pair's shift, feedback and fold inlined.  Expected values and
+    prediction corrections refer to the memory content at session
+    start.  ``phase`` reports which phase the last operation belonged
+    to (``"prediction"`` until the first test op has run, then
+    ``"test"``, and ``"done"`` once finished), so a scheduler aborting
+    on an interfering write can attribute the abort to the phase it
+    hit.  A session finishes on the :meth:`step` call that tries to
+    run past its last op: a call that exactly consumes the remaining
+    ops leaves it unfinished until the next one.
 
     With ``track_stream=True`` the stepper also runs the alias-free
     checker next to the MISRs: the prediction phase's expected read
@@ -104,17 +186,20 @@ class SessionStepper:
         track_stream: bool = False,
     ) -> None:
         self.memory = memory
-        self.snapshot = memory.snapshot()
         self.predict_misr = Misr(misr_width)
         self.test_misr = Misr(misr_width)
         self.phase = "prediction"
         self.track_stream = track_stream
         self.stream_mismatches = 0
-        self._expected: list[int] = []
-        self._cursor = 0
-        self._ops = self._session(test, prediction)
         self.finished = False
         self.detected = False
+        self._schedule = _session_schedule(
+            test, prediction, memory.n_words, memory.width
+        )
+        self._next = 0  # schedule index of the next op
+        self._raw = 0  # value of the last read (relative writes use it)
+        self._expected: list[int] = []
+        self._checked = 0  # test-phase reads compared so far
 
     @property
     def stream_detected(self) -> bool:
@@ -122,66 +207,70 @@ class SessionStepper:
         (only meaningful with ``track_stream=True``)."""
         return self.stream_mismatches > 0
 
-    def _phase(self, test: MarchTest, predicting: bool) -> Iterator[None]:
-        width = self.memory.width
-        for element in test.elements:
-            resolved = [(op, op.data.mask.resolve(width)) for op in element.ops]
-            for addr in element.order.addresses(self.memory.n_words):
-                last_raw = last_mask = None
-                for op, mask_value in resolved:
-                    if op.is_read:
-                        raw = self.memory.read(addr)
-                        if predicting:
-                            self.predict_misr.absorb(raw ^ mask_value)
-                            if self.track_stream:
-                                self._expected.append(raw ^ mask_value)
-                        else:
-                            self.test_misr.absorb(raw)
-                            if self.track_stream:
-                                if (
-                                    self._cursor >= len(self._expected)
-                                    or self._expected[self._cursor] != raw
-                                ):
-                                    self.stream_mismatches += 1
-                                self._cursor += 1
-                        last_raw, last_mask = raw, mask_value
-                    else:
-                        if op.is_relative:
-                            assert last_raw is not None and last_mask is not None
-                            value = last_raw ^ last_mask ^ mask_value
-                        else:
-                            value = mask_value
-                        self.memory.write(addr, value)
-                    yield None
-
-    def _session(self, test: MarchTest, prediction: MarchTest) -> Iterator[None]:
-        yield from self._phase(prediction, predicting=True)
-        self.phase = "test"
-        yield from self._phase(test, predicting=False)
-
     def step(self, max_ops: int) -> int:
         """Execute up to *max_ops* operations; returns ops executed."""
-        done = 0
-        for _ in range(max_ops):
-            try:
-                next(self._ops)
-            except StopIteration:
-                self.finished = True
-                self.phase = "done"
-                self.detected = (
-                    self.predict_misr.signature != self.test_misr.signature
-                )
-                self._expected.clear()
-                break
-            done += 1
-        else:
-            return done
+        schedule = self._schedule
+        start = self._next
+        end = min(start + max_ops, schedule.total)
+        split = schedule.split
+        if start < min(end, split):
+            self._run(self.predict_misr, start, min(end, split), predicting=True)
+        if max(start, split) < end:
+            self._run(self.test_misr, max(start, split), end, predicting=False)
+            self.phase = "test"
+        self._next = end
+        done = end - start
+        if done < max_ops:
+            self.finished = True
+            self.phase = "done"
+            self.detected = self.predict_misr.signature != self.test_misr.signature
+            self._expected.clear()
         return done
 
-
-# Historical private name, kept for callers written before the stepper
-# became part of the public scheduling surface.
-_SessionStepper = SessionStepper
+    def _run(self, misr: Misr, lo: int, hi: int, *, predicting: bool) -> None:
+        """Execute schedule ops ``lo .. hi-1`` of one phase, absorbing
+        its reads into *misr* (``Misr.absorb`` inlined)."""
+        schedule = self._schedule
+        addrs, kinds, masks = schedule.addrs, schedule.kinds, schedule.masks
+        read, write = self.memory.read, self.memory.write
+        track = self.track_stream
+        expected = self._expected
+        checked = self._checked
+        raw = self._raw
+        state, taps, mask, shift = misr.state, misr.taps, misr.mask, misr.width
+        wide = self.memory.width > shift
+        reads = 0
+        for index in range(lo, hi):
+            kind = kinds[index]
+            if kind == _READ:
+                value = raw = read(addrs[index])
+                if predicting:
+                    value ^= masks[index]
+                    if track:
+                        expected.append(value)
+                elif track:
+                    if checked >= len(expected) or expected[checked] != raw:
+                        self.stream_mismatches += 1
+                    checked += 1
+                if wide:
+                    folded = value & mask
+                    value >>= shift
+                    while value:
+                        folded ^= value & mask
+                        value >>= shift
+                    value = folded
+                state = (
+                    ((state << 1) & mask) | ((state & taps).bit_count() & 1)
+                ) ^ value
+                reads += 1
+            elif kind == _WRITE:
+                write(addrs[index], masks[index])
+            else:
+                write(addrs[index], raw ^ masks[index])
+        misr.state = state
+        misr.absorbed += reads
+        self._checked = checked
+        self._raw = raw
 
 
 class OnlineTestScheduler:

@@ -30,6 +30,17 @@ class FaultyMemory(Memory):
     conditions (stuck-at values, CFst forcing) are re-established after
     every bulk load so that the *initial* content already reflects the
     defect, as in real silicon.
+
+    Accesses to words no fault touches take a fast path straight to the
+    stored words.  The *hot* addresses are every fault cell's word plus
+    every address fault's ``addr``; a read elsewhere sees no fault, and
+    a write elsewhere changes no fault cell, so the static conditions
+    re-established after it would be a no-op — provided they already
+    hold (``_settled``).  They do after every re-establishment, unless
+    one CFst's victim is another's aggressor (then a second pass can
+    move further along the chain), and they may not after a
+    :meth:`remove`; in both cases writes take the full path until it
+    settles them again.
     """
 
     def __init__(
@@ -40,6 +51,9 @@ class FaultyMemory(Memory):
         fill: int = 0,
     ) -> None:
         self._faults: list[Fault] = []
+        self._hot: frozenset[int] = frozenset()
+        self._chained = False
+        self._settled = True
         super().__init__(n_words, width, fill)
         for fault in faults:
             self.inject(fault)
@@ -52,10 +66,12 @@ class FaultyMemory(Memory):
     def inject(self, fault: Fault) -> None:
         fault.validate(self.n_words, self.width)
         self._faults.append(fault)
+        self._faults_changed()
         self._enforce_static()
 
     def clear_faults(self) -> None:
         self._faults.clear()
+        self._faults_changed()
 
     def remove(self, fault: Fault) -> None:
         """Withdraw one injected fault (time-varying injection).
@@ -70,6 +86,26 @@ class FaultyMemory(Memory):
             self._faults.remove(fault)
         except ValueError:
             raise ValueError(f"fault not injected: {fault.describe()}") from None
+        self._faults_changed()
+
+    def _faults_changed(self) -> None:
+        """Rebuild the fast-path bookkeeping from the fault list."""
+        hot = set()
+        aggressors = set()
+        victims = set()
+        for fault in self._faults:
+            if isinstance(fault, AddressDecoderFault):
+                hot.add(fault.addr)
+            hot.update(cell.addr for cell in fault.cells)
+            if isinstance(fault, StateCouplingFault):
+                aggressors.add(fault.aggressor)
+                victims.add(fault.victim)
+        self._hot = frozenset(hot)
+        self._chained = not aggressors.isdisjoint(victims)
+        # After a removal the content may break a condition the removed
+        # fault overrode (a CFst forcing a stuck-at cell): unsettled
+        # until the next full-path write re-establishes the conditions.
+        self._settled = not self._faults
 
     # -- storage semantics -------------------------------------------------
     def _address_fault(self, addr: int) -> AddressDecoderFault | None:
@@ -79,6 +115,17 @@ class FaultyMemory(Memory):
         return None
 
     def _store(self, addr: int, value: int) -> None:
+        if self._settled and addr not in self._hot:
+            self._words[addr] = value
+        else:
+            self._store_faulty(addr, value)
+
+    def _fetch(self, addr: int) -> int:
+        if addr in self._hot:
+            return self._fetch_faulty(addr)
+        return self._words[addr]
+
+    def _store_faulty(self, addr: int, value: int) -> None:
         af = self._address_fault(addr)
         if af is None:
             self._store_word(addr, value)
@@ -90,7 +137,7 @@ class FaultyMemory(Memory):
             self._store_word(addr, value)
             self._store_word(af.other_addr, value)
 
-    def _fetch(self, addr: int) -> int:
+    def _fetch_faulty(self, addr: int) -> int:
         af = self._address_fault(addr)
         if af is None:
             return self._read_word(addr)
@@ -172,6 +219,7 @@ class FaultyMemory(Memory):
             if isinstance(fault, StateCouplingFault):
                 if self._cell(fault.aggressor) == fault.aggressor_value:
                     self._set_cell(fault.victim, fault.forced_value)
+        self._settled = not self._chained
 
     # -- raw cell helpers (bypass access counting) ---------------------------
     def _cell(self, cell: Cell) -> int:

@@ -41,7 +41,9 @@ class Memory:
 
     # -- access ----------------------------------------------------------
     def read(self, addr: int) -> int:
-        self._check_addr(addr)
+        # Checked inline: every BIST session op comes through here.
+        if not 0 <= addr < self.n_words:
+            self._check_addr(addr)
         value = self._fetch(addr)
         self.read_count += 1
         if self._observers:
@@ -50,7 +52,8 @@ class Memory:
         return value
 
     def write(self, addr: int, value: int) -> None:
-        self._check_addr(addr)
+        if not 0 <= addr < self.n_words:
+            self._check_addr(addr)
         value &= self._mask
         self._store(addr, value)
         self.write_count += 1

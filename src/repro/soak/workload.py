@@ -4,9 +4,12 @@ The SATA BIST idiom (SNIPPETS.md Snippet 3): the traffic generator and
 every checker share one seeded pseudo-random register, so nothing is
 ever materialized — per cycle the workload draws a handful of bits from
 a maximal-length :class:`~repro.bist.lfsr.Lfsr` and decides idle /
-read / write, the address, and the write data on the fly.  Errors are
-likewise counted on the fly by the session stepper's streaming checker
-(:class:`~repro.bist.scheduler.SessionStepper` with
+read / write, the address, and the write data on the fly.  Like the
+SATA scrambler, which advances one data word per clock rather than one
+bit, each draw advances the register by all its bits in one table jump
+(:meth:`~repro.bist.lfsr.Lfsr.draw`), bit-identical to stepping it.
+Errors are likewise counted on the fly by the session stepper's
+streaming checker (:class:`~repro.bist.scheduler.SessionStepper` with
 ``track_stream=True``); no access trace or expected-data buffer scales
 with uptime.
 

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from repro.memory.faults import (
+    AddressDecoderFault,
     Cell,
     IdempotentCouplingFault,
     InversionCouplingFault,
+    ReadDisturbFault,
     StateCouplingFault,
     StuckAtFault,
     TransitionFault,
@@ -201,6 +203,137 @@ class TestFaultManagement:
         m = FaultyMemory(2, 4)
         with pytest.raises(ValueError):
             m.inject(StuckAtFault(Cell(9, 0), 1))
+
+
+class FullScanMemory(FaultyMemory):
+    """Oracle: every access scans the fault list (no fast path)."""
+
+    def _fetch(self, addr):
+        return self._fetch_faulty(addr)
+
+    def _store(self, addr, value):
+        self._store_faulty(addr, value)
+
+
+# The static kinds (SAF, CFst) are drawn three times as often.
+FUZZ_KINDS = 3 * ("SAF", "CFst") + ("TF", "RDF", "CFid", "CFin")
+FUZZ_KINDS += ("AF-none", "AF-other", "AF-multi")
+
+
+def random_fault(rng, n_words, width):
+    """One fault of any kind.  Cells sit in the first three words, so
+    faults overlap and chain (a CFst victim that is another CFst's
+    aggressor) while the other words stay fault-free."""
+
+    def cell():
+        return Cell(rng.randrange(3), rng.randrange(width))
+
+    def cell_pair():
+        aggressor = cell()
+        victim_addr = (aggressor.addr + rng.randrange(1, 3)) % 3
+        return aggressor, Cell(victim_addr, rng.randrange(width))
+
+    kind = rng.choice(FUZZ_KINDS)
+    if kind == "SAF":
+        return StuckAtFault(cell(), rng.randrange(2))
+    if kind == "TF":
+        return TransitionFault(cell(), rising=rng.random() < 0.5)
+    if kind == "RDF":
+        return ReadDisturbFault(cell(), deceptive=rng.random() < 0.5)
+    if kind == "CFst":
+        return StateCouplingFault(*cell_pair(), rng.randrange(2), rng.randrange(2))
+    if kind == "CFid":
+        return IdempotentCouplingFault(
+            *cell_pair(), rng.random() < 0.5, rng.randrange(2)
+        )
+    if kind == "CFin":
+        return InversionCouplingFault(*cell_pair(), rng.random() < 0.5)
+    addr = rng.randrange(n_words)
+    if kind == "AF-none":
+        return AddressDecoderFault(addr, "none", float_value=rng.randrange(1 << width))
+    other = (addr + rng.randrange(1, n_words)) % n_words
+    return AddressDecoderFault(addr, kind[3:], other, wired_or=rng.random() < 0.5)
+
+
+class TestFastPath:
+    """Accesses to words no fault touches skip the fault scan; every
+    interleaving must match the full-scan path read for read."""
+
+    def test_transient_stuck_at_leaves_forced_value(self):
+        saf = StuckAtFault(Cell(0, 1), 1)
+        fast = FaultyMemory(4, 4)
+        fast.inject(saf)
+        fast.remove(saf)
+        assert fast.read(0) & 0b10
+        fast.write(2, 0b1111)  # fault-free word, fault-free memory
+        assert fast.snapshot() == [0b10, 0, 0b1111, 0]
+
+    def test_removal_unsettles_an_overridden_condition(self):
+        # The CFst forces the stuck-at cell to 1; once it is withdrawn
+        # the stuck-at must win again on the next write anywhere.
+        saf = StuckAtFault(Cell(0, 0), 0)
+        cfst = StateCouplingFault(Cell(1, 0), Cell(0, 0), 1, 1)
+        memories = [cls(3, 2) for cls in (FaultyMemory, FullScanMemory)]
+        for memory in memories:
+            memory.load([0, 1, 0])
+            memory.inject(saf)
+            memory.inject(cfst)
+            assert memory.snapshot() == [1, 1, 0]
+            memory.remove(cfst)
+            memory.write(2, 3)
+        assert memories[0].snapshot() == memories[1].snapshot() == [0, 1, 3]
+
+    def test_chained_state_coupling_takes_the_full_path(self):
+        # cf_bc is listed before cf_ab, so one pass of the static
+        # conditions forces B but not yet C; every later write (to any
+        # word) runs another pass and moves the chain on.
+        cf_bc = StateCouplingFault(Cell(1, 0), Cell(2, 0), 1, 1)
+        cf_ab = StateCouplingFault(Cell(0, 0), Cell(1, 0), 1, 1)
+        memories = [cls(4, 1) for cls in (FaultyMemory, FullScanMemory)]
+        for memory in memories:
+            memory.load([1, 0, 0, 0])
+            memory.inject(cf_bc)
+            memory.inject(cf_ab)
+            assert memory.snapshot() == [1, 1, 0, 0]
+            memory.write(3, 1)
+        assert memories[0].snapshot() == memories[1].snapshot() == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_interleavings_match_full_scan(self, seed):
+        rng = random.Random(seed)
+        n_words, width = rng.choice(((4, 1), (5, 2), (6, 1)))
+        fast = FaultyMemory(n_words, width)
+        full = FullScanMemory(n_words, width)
+        injected = []
+        for _ in range(300):
+            action = rng.random()
+            if action < 0.12:
+                fault = random_fault(rng, n_words, width)
+                injected.append(fault)
+                for memory in (fast, full):
+                    memory.inject(fault)
+            elif action < 0.2 and injected:
+                fault = injected.pop(rng.randrange(len(injected)))
+                for memory in (fast, full):
+                    memory.remove(fault)
+            elif action < 0.22:
+                injected.clear()
+                for memory in (fast, full):
+                    memory.clear_faults()
+            elif action < 0.26:
+                words = [rng.randrange(1 << width) for _ in range(n_words)]
+                for memory in (fast, full):
+                    memory.load(words)
+            elif action < 0.6:
+                addr = rng.randrange(n_words)
+                assert fast.read(addr) == full.read(addr)
+            else:
+                addr = rng.randrange(n_words)
+                value = rng.randrange(1 << width)
+                for memory in (fast, full):
+                    memory.write(addr, value)
+            assert fast.snapshot() == full.snapshot()
+            assert fast.faults == full.faults
 
 
 class TestEnumeration:

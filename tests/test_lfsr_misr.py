@@ -1,9 +1,12 @@
 """Tests for the LFSR/MISR signature datapath."""
 
+import random
+
 import pytest
 
-from repro.bist.lfsr import Lfsr, parity, tap_mask
+from repro.bist.lfsr import TAPS, Lfsr, jump_tables, parity, tap_mask
 from repro.bist.misr import Misr, signature_of
+from repro.soak.workload import LfsrWorkload
 
 
 class TestParity:
@@ -53,6 +56,94 @@ class TestLfsr:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             Lfsr(0)
+
+
+def serial_draw(state, width, nbits):
+    """Oracle: *nbits* single feedback steps, collecting each new LSB."""
+    mask = (1 << width) - 1
+    taps = tap_mask(width)
+    value = 0
+    for _ in range(nbits):
+        state = ((state << 1) & mask) | parity(state & taps)
+        value = (value << 1) | (state & 1)
+    return value, state
+
+
+class TestWordDraw:
+    """``Lfsr.draw`` jumps a whole draw at a time; it must equal the
+    bit-serial register bit for bit, including chunked long draws."""
+
+    @pytest.mark.parametrize("width", [1, *sorted(TAPS)])
+    def test_draw_matches_bit_serial_steps(self, width):
+        rng = random.Random(width)
+        for _ in range(2):
+            lfsr = Lfsr(width, rng.randrange(1, 1 << width) if width > 1 else 1)
+            state = lfsr.state
+            for nbits in range(1, 3 * width + 3):
+                value, state = serial_draw(state, width, nbits)
+                assert lfsr.draw(nbits) == value
+                assert lfsr.state == state
+
+    def test_draw_matches_step(self):
+        a, b = Lfsr(16, 0xACE1), Lfsr(16, 0xACE1)
+        assert a.draw(5) == int("".join(str(b.step() & 1) for _ in range(5)), 2)
+        assert a.state == b.state
+
+    def test_jump_table_bounds(self):
+        assert len(jump_tables(12, 5)) == 2  # bytes 0-7 and bits 8-11
+        assert len(jump_tables(12, 5)[1]) == 16
+        with pytest.raises(ValueError):
+            jump_tables(8, 9)
+        with pytest.raises(ValueError):
+            Lfsr(8).draw(0)
+
+
+class TestLfsrWorkloadGolden:
+    """The soak traffic stream at seed 1, fixed before ``draw`` became
+    a table jump; a checkpoint/restore mid-stream must not move it."""
+
+    # fmt: off
+    PREFIX = [
+        ("r", 2, 0), ("r", 4, 0), None, None, None, ("w", 2, 199), None,
+        None, None, None, None, ("r", 5, 0), None, ("w", 4, 229), None,
+        ("w", 8, 70), None, ("r", 9, 0), ("w", 8, 130), None,
+        ("w", 2, 155), ("r", 0, 0), ("r", 11, 0), ("r", 13, 0), None,
+        ("r", 9, 0), ("w", 13, 41), None, ("w", 7, 197), ("r", 14, 0),
+    ]
+    # fmt: on
+
+    @staticmethod
+    def events(workload, cycles):
+        return [
+            None if e is None else (e.kind, e.addr, e.value)
+            for e in (workload(cycle) for cycle in range(cycles))
+        ]
+
+    def test_prefix_and_restore_round_trip(self):
+        workload, resumed = (
+            LfsrWorkload(16, 8, idle_permille=500, write_permille=400, seed=seed)
+            for seed in (1, 99)
+        )
+        head = self.events(workload, 12)
+        resumed.restore(workload.state)
+        tail = self.events(workload, 18)
+        assert head + tail == self.PREFIX
+        assert self.events(resumed, 18) == tail
+        assert workload.state == resumed.state == 56343323
+        self.events(workload, 2000)
+        assert workload.state == 3254341605
+
+    def test_wide_write_data_is_chunked(self):
+        # 33-bit write data is wider than the 32-bit register.
+        workload = LfsrWorkload(16, 33, seed=1)
+        self.events(workload, 1000)
+        assert workload.state == 1411491409
+        writes = [e for e in self.events(workload, 40) if e and e[0] == "w"]
+        assert writes[:3] == [
+            ("w", 2, 6868549336),
+            ("w", 4, 6702895898),
+            ("w", 2, 8004158727),
+        ]
 
 
 class TestMisr:

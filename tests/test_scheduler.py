@@ -4,10 +4,24 @@ import random
 
 import pytest
 
-from repro.bist.scheduler import OnlineTestScheduler, random_workload
+from repro.bist.misr import Misr
+from repro.bist.scheduler import (
+    OnlineTestScheduler,
+    SessionStepper,
+    random_workload,
+)
+from repro.core.notation import parse_march
+from repro.core.signature import prediction_test
+from repro.core.transparent import to_transparent
 from repro.core.twm import twm_transform
 from repro.library import catalog
-from repro.memory.faults import Cell, StuckAtFault
+from repro.memory.faults import (
+    AddressDecoderFault,
+    Cell,
+    ReadDisturbFault,
+    StateCouplingFault,
+    StuckAtFault,
+)
 from repro.memory.injection import FaultyMemory
 from repro.memory.model import Memory
 from repro.memory.traces import AccessEvent
@@ -231,6 +245,199 @@ class TestSessionEdgeCases:
         # over from the session before it.
         assert len(report.detections) == report.sessions_completed
         assert report.detections == sorted(report.detections)
+
+
+class GeneratorStepper:
+    """Oracle: the session stepper as a per-op generator, resumed once
+    per operation, as the scheduler ran it before the flat schedule."""
+
+    def __init__(self, memory, test, prediction, misr_width, *, track_stream=False):
+        self.memory = memory
+        self.predict_misr = Misr(misr_width)
+        self.test_misr = Misr(misr_width)
+        self.phase = "prediction"
+        self.track_stream = track_stream
+        self.stream_mismatches = 0
+        self._expected = []
+        self._cursor = 0
+        self._ops = self._session(test, prediction)
+        self.finished = False
+        self.detected = False
+
+    def _phase(self, test, predicting):
+        width = self.memory.width
+        for element in test.elements:
+            resolved = [(op, op.data.mask.resolve(width)) for op in element.ops]
+            for addr in element.order.addresses(self.memory.n_words):
+                last_raw = last_mask = None
+                for op, mask_value in resolved:
+                    if op.is_read:
+                        raw = self.memory.read(addr)
+                        if predicting:
+                            self.predict_misr.absorb(raw ^ mask_value)
+                            if self.track_stream:
+                                self._expected.append(raw ^ mask_value)
+                        else:
+                            self.test_misr.absorb(raw)
+                            if self.track_stream:
+                                if (
+                                    self._cursor >= len(self._expected)
+                                    or self._expected[self._cursor] != raw
+                                ):
+                                    self.stream_mismatches += 1
+                                self._cursor += 1
+                        last_raw, last_mask = raw, mask_value
+                    else:
+                        if op.is_relative:
+                            value = last_raw ^ last_mask ^ mask_value
+                        else:
+                            value = mask_value
+                        self.memory.write(addr, value)
+                    yield None
+
+    def _session(self, test, prediction):
+        yield from self._phase(prediction, predicting=True)
+        self.phase = "test"
+        yield from self._phase(test, predicting=False)
+
+    def step(self, max_ops):
+        done = 0
+        for _ in range(max_ops):
+            try:
+                next(self._ops)
+            except StopIteration:
+                self.finished = True
+                self.phase = "done"
+                self.detected = (
+                    self.predict_misr.signature != self.test_misr.signature
+                )
+                self._expected.clear()
+                break
+            done += 1
+        return done
+
+
+def session_pairs(width):
+    """(test, prediction) pairs: March C- and MATS+ in transparent form
+    (TWM at power-of-two widths, the bit-level transform otherwise) and
+    a hand-written test with absolute ops that is its own prediction."""
+    pairs = []
+    for name in ("March C-", "MATS+"):
+        if width & (width - 1) == 0:
+            result = twm_transform(catalog.get(name), width)
+            pairs.append((result.twmarch, result.prediction))
+        else:
+            test = to_transparent(catalog.get(name)).transparent
+            pairs.append((test, prediction_test(test)))
+    own = parse_march("⇑(rc,w~c,r~c,wc);⇕(w0,r0,w1);⇓(r1,wc)", name="own")
+    pairs.append((own, own))
+    return pairs
+
+
+FAULT_SETS = {
+    "none": [],
+    "SAF": [StuckAtFault(Cell(1, 0), 1)],
+    "CFst": [StateCouplingFault(Cell(0, 0), Cell(3, 0), 1, 0)],
+    "RDF": [
+        ReadDisturbFault(Cell(2, 0), deceptive=False),
+        ReadDisturbFault(Cell(4, 0), deceptive=True),
+    ],
+    "AF": [
+        AddressDecoderFault(1, "other", 3),
+        AddressDecoderFault(4, "multi", 0, wired_or=True),
+    ],
+    "mixed": [
+        StuckAtFault(Cell(2, 0), 0),
+        StateCouplingFault(Cell(4, 0), Cell(1, 0), 0, 1),
+        ReadDisturbFault(Cell(3, 0), deceptive=True),
+        AddressDecoderFault(0, "none", float_value=1),
+    ],
+}
+
+
+def call_sizes(pattern, total):
+    """The ``max_ops`` sequence of one stepping pattern."""
+    if pattern == "exact":
+        # Exactly consume the rest: the session finishes one call late.
+        yield 3
+        yield total - 3
+        while True:
+            yield 1
+    while True:
+        yield total + 5 if pattern == "overshoot" else pattern
+
+
+def stepper_state(stepper):
+    return (
+        stepper.phase,
+        stepper.finished,
+        stepper.detected,
+        stepper.stream_mismatches,
+        stepper.predict_misr.state,
+        stepper.predict_misr.absorbed,
+        stepper.test_misr.state,
+        stepper.test_misr.absorbed,
+        stepper.memory.snapshot(),
+    )
+
+
+class TestSessionStepperEquivalence:
+    """The flat-schedule stepper against the generator oracle, after
+    every ``step`` call."""
+
+    @pytest.mark.parametrize("width", [1, 8, 33])
+    @pytest.mark.parametrize("misr_width", [1, 16])
+    @pytest.mark.parametrize("faults", sorted(FAULT_SETS))
+    def test_matches_generator_after_every_step(self, width, misr_width, faults):
+        n_words = 5
+        for index, (test, prediction) in enumerate(session_pairs(width)):
+            total = (prediction.op_count + test.op_count) * n_words
+            content = random.Random(index).getrandbits(width * n_words)
+            words = [(content >> (width * a)) % (1 << width) for a in range(n_words)]
+            for pattern in (1, 7, 8, "exact", "overshoot"):
+                steppers = []
+                for cls in (SessionStepper, GeneratorStepper):
+                    memory = FaultyMemory(n_words, width, FAULT_SETS[faults])
+                    memory.load(words)
+                    steppers.append(
+                        cls(memory, test, prediction, misr_width, track_stream=True)
+                    )
+                fast, oracle = steppers
+                calls = 0
+                for max_ops in call_sizes(pattern, total):
+                    assert fast.step(max_ops) == oracle.step(max_ops)
+                    assert stepper_state(fast) == stepper_state(oracle)
+                    calls += 1
+                    if oracle.finished:
+                        break
+                if pattern == "exact":
+                    assert calls == 3  # 3 ops, the rest, then the finish
+                assert fast._expected == []
+
+    def test_phase_turns_test_only_after_first_test_op(self):
+        result = twm_transform(catalog.get("MATS+"), 8)
+        memory = Memory(4, 8)
+        split = result.prediction.op_count * 4
+        stepper = SessionStepper(memory, result.twmarch, result.prediction, 16)
+        assert stepper.step(split) == split
+        assert stepper.phase == "prediction"
+        assert stepper.step(1) == 1
+        assert stepper.phase == "test"
+
+    def test_relative_write_needs_a_read_in_its_element(self):
+        test = parse_march("⇑(rc);⇑(w~c,rc)", name="blind")
+        with pytest.raises(ValueError, match="relative write before any read"):
+            SessionStepper(Memory(2, 4), test, test, 4)
+
+    def test_untracked_stream_keeps_no_buffer(self):
+        result = twm_transform(catalog.get("March C-"), 8)
+        memory = FaultyMemory(4, 8, [StuckAtFault(Cell(0, 0), 1)])
+        memory.randomize(random.Random(3))
+        stepper = SessionStepper(memory, result.twmarch, result.prediction, 16)
+        while not stepper.finished:
+            stepper.step(5)
+        assert stepper.detected
+        assert stepper.stream_mismatches == 0 and stepper._expected == []
 
 
 class TestWorkloadFactory:

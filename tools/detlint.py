@@ -32,6 +32,7 @@ json`` emits the same machine-readable shape as ``repro lint``.
 Usage::
 
     python tools/detlint.py src/repro/engine src/repro/bist src/repro/soak \
+        src/repro/memory \
         [more paths] [--format json]
 
 Exit codes: 0 clean, 1 findings, 2 usage errors.
