@@ -835,6 +835,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ExecutionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,8 +32,8 @@ Per fault class (compare oracle / two-phase session oracles):
     one packed-plane pass per variant (rising/falling, plain/deceptive),
     in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` intra-word
-    one packed pass per (aggressor bit, victim bit, variant) with every
-    word as a lane, in both oracles.
+    one packed pass per (aggressor bit, variant) with every word as a
+    lane and every other bit of the word a victim, in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` inter-word
     same-bit classes: one *pair-lane* pass in both oracles — every
     fault gets its own lane holding its aggressor and victim words,
@@ -195,7 +195,8 @@ class BatchEngine(Engine):
         replayed here — the cache keys prevent it, but a silent
         mismatch would mean silently wrong verdicts.  *program* is the
         context's primary program (the compare program, or the test
-        phase of a session)."""
+        phase of a session).  ``context.words`` is already masked, so
+        an equal *words* matches without building a masked copy."""
         if not isinstance(context, kind):
             raise ExecutionError(
                 f"prebuilt context has type {type(context).__name__}, "
@@ -204,12 +205,14 @@ class BatchEngine(Engine):
         own_program = (
             context.program if kind is _CampaignContext else context.test
         )
-        masked = [w & program.word_mask for w in words]
         if (
             context.n_words != n_words
             or context.width != program.width
             or own_program != program
-            or context.words != masked
+            or (
+                context.words != words
+                and context.words != [w & program.word_mask for w in words]
+            )
         ):
             raise ExecutionError(
                 "prebuilt campaign context does not match this campaign's "
@@ -443,6 +446,56 @@ class _WordLanes:
             self._lane_cache[bit] = lane
         return lane
 
+    def _coupling_rules(self, cf_kind: str, variant: int, a_bit: int):
+        """``(load, store)`` of an intra-word coupling fault (*cf_kind*
+        parameter *variant*) from aggressor bit *a_bit* onto every other
+        bit of every word lane: ``load(state)`` is the loaded content
+        expressing the defect, ``store(state, value)`` the content after
+        writing *value* (continuous CFst forcing, CFid/CFin triggered by
+        aggressor transitions).  The aggressor's condition or transition
+        is read at bit *a_bit* and spread over the lane's other bits;
+        the aggressor itself is never written."""
+        aggr = self._bit_lane(a_bit)
+        # One lane's victim bits: times a lane's bit 0, a copy on each.
+        victims = ((1 << self.width) - 1) ^ (1 << a_bit)
+        rising, x, y = _cf_params(cf_kind, variant)
+
+        def onto_victims(bits: int) -> int:
+            return ((bits & aggr) >> a_bit) * victims
+
+        def forced(state: int, value: int) -> int:
+            cond = onto_victims(value if y else ~value)
+            return (value | cond) if x else (value & ~cond)
+
+        def triggered(state: int, value: int) -> int:
+            trig = onto_victims((state ^ value) & (value if rising else ~value))
+            if cf_kind == "CFid":
+                return (value | trig) if x else (value & ~trig)
+            return value ^ trig
+
+        if cf_kind == "CFst":
+            return (lambda state: forced(state, state)), forced
+        return (lambda state: state), triggered
+
+    def _intra_cf_vectors(self, variants: int, run) -> list[tuple[int, ...]]:
+        """Per-fault rows of an intra-word CF class in ``pair_bits``
+        order (aggressor-major), each fault's verdicts at its word
+        lane's bit 0 (``slot_stride = width``).  ``run(a_bit, variant)``
+        returns the planes of one broadcast pass; over a clean baseline,
+        fault ``(a_bit, v, variant)`` shows only at bit ``v``.  Only one
+        aggressor's passes are held at a time."""
+        ones = self._bit_lane(0)
+        rows = []
+        for a_bit in range(self.width):
+            passes = [run(a_bit, variant) for variant in range(variants)]
+            for v_bit in range(self.width):
+                if v_bit != a_bit:
+                    rows.extend(
+                        tuple((plane >> v_bit) & ones for plane in planes)
+                        for planes in passes
+                    )
+        return rows
+
     def _lane_any(
         self, det: int, n_lanes: int, stride: int = 0, parity: bool = False
     ) -> int:
@@ -597,22 +650,17 @@ class _CampaignContext(_WordLanes):
         )
 
     def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedVerdicts:
-        """All intra-word coupling faults of one kind: one packed pass
-        per (bit pair, parameter variant) — ``width*(width-1) *
-        variants`` passes answer the whole class for every address at
-        once, with the per-lane any-bit fold placing each verdict at
-        its word lane's bit 0 (``slot_stride = width``)."""
-        vectors = []
-        for pair_index in range(fault_class.n_pairs):
-            a_bit, v_bit = fault_class.pair_bits(pair_index)
-            for variant in range(fault_class.variants):
-                det = self._packed_coupling_run(
-                    fault_class.cf_kind, a_bit, v_bit, variant
-                )
-                vectors.append(self._lane_any(det, self.n_words))
+        """All intra-word coupling faults of one kind: ``width *
+        variants`` broadcast passes (:meth:`_packed_run`) answer the
+        whole class for every address at once."""
+        kind = fault_class.cf_kind
+        rows = self._intra_cf_vectors(
+            fault_class.variants,
+            lambda a_bit, variant: (self._packed_run(kind, variant, a_bit),),
+        )
         return PackedVerdicts(
             len(fault_class),
-            vectors,
+            [vector for (vector,) in rows],
             stride=fault_class.n_pairs * fault_class.variants,
             slot_stride=self.width,
         )
@@ -696,70 +744,6 @@ class _CampaignContext(_WordLanes):
                         store(sel, value)
         return det
 
-    def _packed_coupling_run(
-        self, cf_kind: str, a_bit: int, v_bit: int, variant: int
-    ) -> int:
-        """One word-parallel pass hypothesising the same intra-word
-        coupling fault (aggressor bit, victim bit, parameter variant)
-        in *every* word lane at once.
-
-        Intra-word coupling confines the fault to its own word, so the
-        lanes evolve independently and one pass simulates ``n_words``
-        faults; the semantics mirror :meth:`_coupling` bit for bit —
-        continuous CFst forcing after the initial load and every store,
-        CFid/CFin triggered by aggressor transitions of stores.  The
-        returned plane keeps accumulating after a lane's first
-        mismatch; the verdict is the lane OR, and detection is
-        monotone, so the extra bits are harmless.
-        """
-        aggr_lane = self._bit_lane(a_bit)
-        shift = v_bit - a_bit
-        rising, x, y = _cf_params(cf_kind, variant)
-
-        def enforce(state: int) -> int:
-            cond = (state & aggr_lane) if y else (~state & aggr_lane)
-            cond = (cond << shift) if shift >= 0 else (cond >> -shift)
-            return (state | cond) if x else (state & ~cond)
-
-        state = self._packed
-        if cf_kind == "CFst":
-            state = enforce(state)  # loaded content expresses the defect
-        snap = state
-        det = 0
-        derive = self.derive
-        for element, rep_masks in zip(self.program.elements, self._replicated()):
-            last_raw = 0
-            last_mask = 0
-            for (is_read, relative, _mask, _ok), mrep in zip(
-                element.steps, rep_masks
-            ):
-                if is_read:
-                    det |= state ^ ((snap ^ mrep) if relative else mrep)
-                    last_raw, last_mask = state, mrep
-                else:
-                    if relative and derive:
-                        value = last_raw ^ last_mask ^ mrep
-                    elif relative:
-                        value = snap ^ mrep
-                    else:
-                        value = mrep
-                    if cf_kind == "CFst":
-                        state = enforce(value)
-                    else:
-                        trig = (
-                            (state ^ value)
-                            & (value if rising else ~value)
-                            & aggr_lane
-                        )
-                        trig = (
-                            (trig << shift) if shift >= 0 else (trig >> -shift)
-                        )
-                        if cf_kind == "CFid":
-                            state = (value | trig) if x else (value & ~trig)
-                        else:
-                            state = value ^ trig
-        return det
-
     # -- fault-free baseline -------------------------------------------
     def _baseline_plane(self) -> int:
         """Packed mismatch plane of the fault-free run: bit
@@ -786,22 +770,31 @@ class _CampaignContext(_WordLanes):
             self._rep = self._replicate(self.program)
         return self._rep
 
-    def _packed_run(self, kind: str | None, variant: bool) -> int:
+    def _packed_run(self, kind: str | None, variant, a_bit: int = 0) -> int:
         """One word-parallel pass over the program.
 
         ``kind`` selects the per-column fault hypothesis: ``None`` is
         the fault-free baseline, ``"TF"`` a transition fault at every
         column (``variant`` = rising), ``"RDF"`` a read-disturb fault at
-        every column (``variant`` = deceptive).  Returns the accumulated
-        mismatch plane for the hypothesised cell itself.
+        every column (``variant`` = deceptive), ``"CFst"``/``"CFid"``/
+        ``"CFin"`` the coupling fault (parameter ``variant``) from bit
+        *a_bit* of every word onto each other bit of the word
+        (:meth:`_coupling_rules`), with :meth:`_coupling`'s semantics.
+        Returns the accumulated mismatch plane for the hypothesised
+        cell itself; it keeps accumulating after a first mismatch, which
+        is harmless because detection is monotone.
         """
         snap = self._packed
         full = self._full
-        state = snap
         det = 0
         derive = self.derive
         is_tf = kind == "TF"
         is_rdf = kind == "RDF"
+        is_cf = kind in ("CFst", "CFid", "CFin")
+        if is_cf:
+            load, store = self._coupling_rules(kind, variant, a_bit)
+            snap = load(snap)  # loaded content expresses the defect
+        state = snap
         for element, rep_masks in zip(self.program.elements, self._replicated()):
             last_raw = 0
             last_mask = 0
@@ -825,6 +818,8 @@ class _CampaignContext(_WordLanes):
                         value = mrep
                     if is_tf:
                         state = (state & value) if variant else (state | value)
+                    elif is_cf:
+                        state = store(state, value)
                     else:
                         state = value
         return det
@@ -1285,26 +1280,18 @@ class _SignatureContext(_WordLanes):
         )
 
     def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedPairVerdicts:
-        """One pass per (bit pair, variant) with every word as a lane,
-        each lane's verdict at its bit 0 (``slot_stride = width``).
+        """One broadcast pass per (aggressor bit, variant), as in the
+        compare kernel.  A coupling fault only changes its victim cell
+        and the kernel applies only over a clean fault-free stream, so
+        every victim bit is its own hypothesis, observed like a single
+        cell (:meth:`_single_cell_class`)."""
+        kind = fault_class.cf_kind
 
-        A coupling fault only ever changes its victim cell, and the
-        kernel applies only over a clean fault-free stream, so a lane's
-        read errors, signature delta bits and stream mismatches all sit
-        at the victim bit: shifting it to bit 0 is the lane's XOR (and
-        OR) fold."""
-        stream = []
-        signature = []
-        lane0 = self._bit_lane(0)
-        for pair_index in range(fault_class.n_pairs):
-            a_bit, v_bit = fault_class.pair_bits(pair_index)
-            for variant in range(fault_class.variants):
-                det, acc = self._packed_session(
-                    fault_class.cf_kind, variant, a_bit, v_bit
-                )
-                stream.append((det >> v_bit) & lane0)
-                deltas = [(a >> v_bit) & lane0 for a in acc]
-                signature.append(self._gap_differs(deltas, lane0))
+        def run(a_bit: int, variant: int) -> tuple[int, int]:
+            det, acc = self._packed_session(kind, variant, a_bit)
+            return det, self._gap_differs(acc, self._full)
+
+        stream, signature = zip(*self._intra_cf_vectors(fault_class.variants, run))
         n = len(fault_class)
         stride = fault_class.n_pairs * fault_class.variants
         return PackedPairVerdicts(
@@ -1470,13 +1457,14 @@ class _SignatureContext(_WordLanes):
         return out
 
     def _packed_session(
-        self, kind: str, variant, a_bit: int = 0, v_bit: int = 0
+        self, kind: str, variant, a_bit: int = 0
     ) -> tuple[int, list[int]]:
         """One word-parallel pass through both session phases
         hypothesising the same fault in every lane at once, with the
         fault semantics of the compare kernels (``SAF``: variant = stuck
         value, ``TF``: rising, ``RDF``: deceptive, ``CFst``/``CFid``/
-        ``CFin``: parameter variant of the (a_bit, v_bit) pair).
+        ``CFin``: parameter variant, aggressor *a_bit*, every other bit
+        of the lane a victim).
 
         State carries from the prediction phase into the test phase.
         Returns ``(det, acc)``: ``det`` marks test-phase reads that
@@ -1489,23 +1477,13 @@ class _SignatureContext(_WordLanes):
         is_saf = kind == "SAF"
         is_tf = kind == "TF"
         is_rdf = kind == "RDF"
-        is_cfst = kind == "CFst"
-        is_trig = kind in ("CFid", "CFin")
+        is_cf = kind in ("CFst", "CFid", "CFin")
         state = self._packed
         if is_saf:
             state = full if variant else 0
-        elif is_cfst or is_trig:
-            aggr_lane = self._bit_lane(a_bit)
-            shift = v_bit - a_bit
-            rising, x, y = _cf_params(kind, variant)
-
-            def enforce(value: int) -> int:
-                cond = (value & aggr_lane) if y else (~value & aggr_lane)
-                cond = (cond << shift) if shift >= 0 else (cond >> -shift)
-                return (value | cond) if x else (value & ~cond)
-
-            if is_cfst:
-                state = enforce(state)  # loaded content expresses the defect
+        elif is_cf:
+            load, store = self._coupling_rules(kind, variant, a_bit)
+            state = load(state)  # loaded content expresses the defect
         snap = state  # the controller's session snapshot
         det = 0
         acc = [0] * self.misr_width
@@ -1532,19 +1510,8 @@ class _SignatureContext(_WordLanes):
                         continue
                     if is_tf:
                         state = (state & value) if variant else (state | value)
-                    elif is_cfst:
-                        state = enforce(value)
-                    elif is_trig:
-                        trig = (
-                            (state ^ value)
-                            & (value if rising else ~value)
-                            & aggr_lane
-                        )
-                        trig = (trig << shift) if shift >= 0 else (trig >> -shift)
-                        if kind == "CFid":
-                            state = (value | trig) if x else (value & ~trig)
-                        else:
-                            state = value ^ trig
+                    elif is_cf:
+                        state = store(state, value)
                     else:
                         state = value
         return det, acc

@@ -110,6 +110,7 @@ soak scenario chunks carry their scenarios by value and still shard.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -211,8 +212,12 @@ def _run_fault_chunk(task, start: int, stop: int):
 def _worker_main(conn, state) -> None:
     """Worker process loop: evaluate chunk leases and ship results (or
     failure descriptions) back over the worker's private pipe.
-    Module-level so it pickles under both fork and spawn."""
+    Module-level so it pickles under both fork and spawn.  A terminal
+    interrupt reaches the whole process group; the parent owns it and
+    tears the pool down, so workers ignore SIGINT rather than each
+    printing a traceback."""
     global _WORKER_STATE
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORKER_STATE = state
     while True:
         try:

@@ -118,14 +118,6 @@ class MarchProgram:
             if op.is_write and op.relative
         )
 
-    def flat_steps(self) -> list[tuple[bool, bool, int, bool]]:
-        """The per-address op sequence, concatenated across elements.
-
-        Valid for analyses that do not depend on cross-address
-        interleaving (single-word-confined fault evaluation).
-        """
-        return [step for e in self.elements for step in e.steps]
-
 
 def _compile(test: MarchTest, width: int) -> MarchProgram:
     elements = []

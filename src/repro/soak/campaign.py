@@ -137,10 +137,12 @@ class SoakCheckpoint:
             },
         }
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(self.path)
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+            tmp.replace(self.path)
+        except BaseException:  # an interrupt must not leave a half file
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def run_soak_campaign(

@@ -37,7 +37,7 @@ the campaign layer's checkpoint/resume and chaos recovery rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..analysis.diagnosis import diagnose_memory
 from ..bist.scheduler import SessionStepper, Workload
@@ -139,7 +139,7 @@ class EpisodeOutcome:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EpisodeOutcome":
-        return cls(**payload)
+        return cls(**_typed_fields(cls, payload))
 
 
 @dataclass
@@ -226,11 +226,37 @@ class SoakReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SoakReport":
-        data = dict(payload)
+        data = _typed_fields(cls, payload)
         data["episodes"] = [
             EpisodeOutcome.from_dict(e) for e in data["episodes"]
         ]
         return cls(**data)
+
+
+# JSON type of every report field, by annotation (``bool`` is an
+# ``int`` subclass, and no field is a flag).
+_JSON_TYPES = {
+    "int": int,
+    "str": str,
+    "int | None": (int, type(None)),
+    "str | None": (str, type(None)),
+    "list[EpisodeOutcome]": list,
+}
+
+
+def _typed_fields(cls, payload) -> dict:
+    """A copy of *payload* once it holds every field of dataclass *cls*
+    with its JSON type: :class:`KeyError` names a missing field,
+    :class:`TypeError` a wrong-typed one."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"{cls.__name__} is {type(payload).__name__}, expected object")
+    for spec in fields(cls):
+        value = payload[spec.name]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[spec.type]):
+            raise TypeError(
+                f"{spec.name!r} is {type(value).__name__}, expected {spec.type}"
+            )
+    return dict(payload)
 
 
 class SoakScheduler:

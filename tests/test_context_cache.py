@@ -170,6 +170,44 @@ class TestContextCache:
         with pytest.raises(ExecutionError, match="context"):
             mine.run_class(engine, universe["SAF"], context=wrong)
 
+    def test_changed_word_width_or_program_is_rejected(self, twm, universe):
+        engine = get_engine("batch")
+        flow = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=None, seed=3)
+        ctx = ContextCache(engine).get(flow).payload
+        words = list(flow.words)
+        one_off = words[:-1] + [words[-1] ^ 1]
+        wider = twm_transform(catalog.get("March C-"), 2 * WIDTH)
+        other = twm_transform(catalog.get("March U"), WIDTH)
+        for test, width, content in (
+            (twm.twmarch, WIDTH, one_off),  # one changed word
+            (wider.twmarch, 2 * WIDTH, words),  # another width
+            (other.twmarch, WIDTH, words),  # another program
+        ):
+            with pytest.raises(ExecutionError, match="context"):
+                engine.detect_class_batch(
+                    test, N_WORDS, width, content, universe["SAF"],
+                    context=ctx,
+                )
+
+    def test_prebuilt_context_accepts_equal_and_unmasked_words(
+        self, twm, universe
+    ):
+        engine = get_engine("batch")
+        flow = compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=None, seed=3)
+        ctx = ContextCache(engine).get(flow).payload
+        words = list(flow.words)
+        # Bits above the word width are masked away, so they match too.
+        unmasked = [w | (0b101 << WIDTH) for w in words]
+        faults = universe["CFst-intra"]
+        cold = engine.detect_class_batch(
+            twm.twmarch, N_WORDS, WIDTH, words, faults
+        )
+        for content in (words, tuple(words), unmasked):
+            warm = engine.detect_class_batch(
+                twm.twmarch, N_WORDS, WIDTH, content, faults, context=ctx
+            )
+            assert warm.tolist() == cold.tolist()
+
     def test_session_context_for_other_prediction_is_rejected(self, twm):
         engine = get_engine("batch")
         flows = _flows(twm)

@@ -2,10 +2,17 @@
 degradation-aware scheduler, and the supervised campaign layer."""
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.soak import (
     latency_stats,
     render_soak_campaign,
@@ -438,8 +445,45 @@ def _without_episodes(payload):
     return json.dumps(payload)
 
 
+def _with_report(edit):
+    """A checkpoint text whose every report went through *edit*."""
+
+    def make(payload):
+        for report in payload["reports"].values():
+            edit(report)
+        return json.dumps(payload)
+
+    return make
+
+
 # case -> (malformed file content from a valid payload, expected fault)
 MALFORMED_CHECKPOINTS = {
+    "cycles-str": (
+        _with_report(lambda r: r.update(cycles="x")),
+        "'cycles' is str, expected int",
+    ),
+    "counter-bool": (
+        _with_report(lambda r: r.update(periods=True)),
+        "'periods' is bool, expected int",
+    ),
+    "no-bist-ops": (
+        _with_report(lambda r: r.pop("bist_ops")),
+        "missing field 'bist_ops'",
+    ),
+    "final-step-int": (
+        _with_report(lambda r: r.update(final_step=3)),
+        "'final_step' is int, expected str",
+    ),
+    "episode-cycle-str": (
+        _with_report(
+            lambda r: r["episodes"][0].update(detected_cycle="soon")
+        ),
+        "'detected_cycle' is str, expected int | None",
+    ),
+    "episode-not-object": (
+        _with_report(lambda r: r["episodes"].__setitem__(0, 7)),
+        "EpisodeOutcome is int, expected object",
+    ),
     "top-level-list": (lambda payload: "[]", "top level is a list"),
     "reports-list": (
         lambda payload: json.dumps(
@@ -472,3 +516,62 @@ def test_malformed_checkpoint_fails_with_one_line(
     assert err.count("\n") == 0, err
     assert err.startswith(f"error: checkpoint {path} is malformed: ")
     assert fault in err
+
+
+def _children(pid):
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return path.read_text().split() if path.exists() else []
+
+
+def _wait_until(predicate, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+    or not hasattr(os, "killpg"),
+    reason="needs /proc child lists and process groups",
+)
+def test_interrupted_sharded_soak_exits_cleanly(tmp_path):
+    # A terminal Ctrl-C signals the whole process group, workers too.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    checkpoint = tmp_path / "bank.json"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "soak",
+            "--geometries", "8x8,16x8,8x4,16x4", "--rates", "4",
+            "--cycles", "400000", "--seed", "1", "--jobs", "2",
+            "--checkpoint", str(checkpoint), "--batch-size", "2",
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        assert _wait_until(lambda: len(_children(proc.pid)) >= 2)
+        workers = _children(proc.pid)
+        time.sleep(0.3)  # let the workers pick up their leases
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err == "error: interrupted\n"
+    assert _wait_until(
+        lambda: not any(Path(f"/proc/{pid}").exists() for pid in workers),
+        seconds=10.0,
+    ), workers
+    assert not list(tmp_path.glob("*.tmp"))
