@@ -47,9 +47,9 @@ headroom than supervision consumes), so no gate above was loosened
 for it and no separate overhead gate is needed.
 
 A BENCH file that is not a JSON object of the expected shape (empty,
-truncated, a list, a ``workloads`` list, ...) is an input error, not a
-gate verdict: the gate names the file and the fault on one line and
-exits 2.
+truncated, a list, a ``workloads`` list, a wrong-typed or missing field
+the gate reads, ...) is an input error, not a gate verdict: the gate
+names the file and the field on one line and exits 2.
 
 Usage::
 
@@ -89,27 +89,86 @@ class BenchFileError(ValueError):
     """A BENCH JSON file the gate cannot read (one-line message)."""
 
 
+# Every field the gate reads, with the JSON type it must have, in walk
+# order (containers before their fields); ``*`` matches every key of an
+# object.  The last column names the file kinds that must carry the
+# field: an absent optional field is the gate's to report, a
+# wrong-typed one is an input error.  (The soak checkpoint's
+# ``_typed_fields`` does the same for report fields.)
+BENCH_FIELDS = (
+    ("workloads", "an object", {"engine"}),
+    ("workloads.*", "an object", ()),
+    ("workloads.*.modes", "an object", ()),
+    ("workloads.*.modes.*", "an object", ()),
+    ("workloads.*.modes.*.speedup_batch_vs_reference", "a number", ()),
+    ("workloads.*.modes.*.speedup_jobs_vs_batch", "a number", ()),
+    ("workloads.megaword.min_speedup_packed_vs_perfault", "a number", ()),
+    ("workloads.megaword.sampled_verdicts_identical", "a boolean", ()),
+    ("workloads.megaword.reference_spotcheck_identical", "a boolean", ()),
+    ("workloads.chaos.recovered_bit_identical", "a boolean", ()),
+    ("workloads.chaos.fault_tolerance", "an object or null", ()),
+    *(
+        (f"workloads.chaos.fault_tolerance.{key}", "an integer", ())
+        for key in ("retries", "respawns", "degraded_chunks")
+    ),
+    ("cpu_count", "an integer or null", {"engine"}),
+    ("checks", "an object", {"engine", "soak"}),
+    *(
+        (f"checks.{name}", "a boolean", ())
+        for name in (
+            "all_vectors_identical",
+            "mixed_aliasing_reused_contexts",
+            "chaos_recovered",
+            *SOAK_CHECKS,
+        )
+    ),
+    ("legs", "an object", {"soak"}),
+    ("legs.*", "an object", ()),
+    ("legs.sequential.scenarios_per_sec", "a number", ()),
+)
+
 _JSON_TYPES = {
-    dict: "an object",
-    list: "an array",
-    str: "a string",
-    int: "a number",
-    float: "a number",
-    bool: "a boolean",
-    type(None): "null",
+    "an object": dict,
+    "an array": list,
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+    "a boolean": bool,
+    "null": type(None),
 }
+_ABSENT = object()
 
 
-def _require_object(path: pathlib.Path, value, where: str) -> None:
-    if not isinstance(value, dict):
-        kind = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise BenchFileError(f"{path}: {where} is {kind}, expected an object")
+def _describe(value) -> str:
+    if isinstance(value, bool):
+        return "a boolean"
+    for name, types in _JSON_TYPES.items():
+        if isinstance(value, types):
+            return name
+    return type(value).__name__
 
 
-def load_bench(path: pathlib.Path) -> dict:
-    """Parse one BENCH JSON file, checking that every container the
-    gate walks into is a JSON object; :class:`BenchFileError` names the
-    file and the fault otherwise."""
+def _fields(node, parts: list[str], trail: tuple = ()):
+    """``(trail, value)`` of every field *parts* names below *node*;
+    an absent last field yields :data:`_ABSENT`, an absent or
+    non-object container nothing."""
+    if not parts:
+        yield trail, node
+        return
+    if not isinstance(node, dict):
+        return
+    head, rest = parts[0], parts[1:]
+    for key in node if head == "*" else (head,):
+        if key in node:
+            yield from _fields(node[key], rest, (*trail, key))
+        elif not rest:
+            yield (*trail, key), _ABSENT
+
+
+def load_bench(path: pathlib.Path, kind: str = "engine") -> dict:
+    """Parse one BENCH JSON file of *kind* (``engine`` or ``soak``)
+    and check every field the gate reads against :data:`BENCH_FIELDS`;
+    :class:`BenchFileError` names the file and the field otherwise."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -123,19 +182,25 @@ def load_bench(path: pathlib.Path) -> dict:
             f"{path}: not valid JSON ({exc.msg} at line {exc.lineno} "
             f"column {exc.colno})"
         ) from None
-    _require_object(path, payload, "the top level")
-    for key in ("workloads", "checks", "legs"):
-        if key in payload:
-            _require_object(path, payload[key], f"{key!r}")
-    for name, workload in payload.get("workloads", {}).items():
-        _require_object(path, workload, f"workload {name!r}")
-        for key in ("modes", "fault_tolerance"):
-            if key in workload:
-                _require_object(path, workload[key], f"{name}.{key}")
-        for mode_name, mode in workload.get("modes", {}).items():
-            _require_object(path, mode, f"{name}.modes.{mode_name}")
-    for name, leg in payload.get("legs", {}).items():
-        _require_object(path, leg, f"leg {name!r}")
+    if not isinstance(payload, dict):
+        raise BenchFileError(
+            f"{path}: the top level is {_describe(payload)}, expected an object"
+        )
+    for dotted, expected, required in BENCH_FIELDS:
+        types = tuple(_JSON_TYPES[name] for name in expected.split(" or "))
+        for trail, value in _fields(payload, dotted.split(".")):
+            name = ".".join(trail)
+            if value is _ABSENT:
+                if kind in required:
+                    raise BenchFileError(f"{path}: missing field {name!r}")
+                continue
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise BenchFileError(
+                    f"{path}: field {name!r} is {_describe(value)}, "
+                    f"expected {expected}"
+                )
     return payload
 
 
@@ -363,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         baseline = load_bench(args.baseline)
         fresh = load_bench(args.fresh)
-        soak = None if args.soak is None else load_bench(args.soak)
+        soak = None if args.soak is None else load_bench(args.soak, "soak")
     except BenchFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

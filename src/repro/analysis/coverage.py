@@ -47,8 +47,7 @@ from ..engine import (
     Engine,
     FaultPlan,
     FaultToleranceStats,
-    PackedPairVerdicts,
-    PackedVerdicts,
+    PlaneVerdicts,
     RetryPolicy,
     get_engine,
 )
@@ -109,10 +108,6 @@ class ClassStats:
     total: int
     seconds: float
     engine: str
-
-    @property
-    def faults_per_second(self) -> float:
-        return self.total / self.seconds if self.seconds > 0 else float("inf")
 
 
 @dataclass
@@ -349,22 +344,17 @@ def run_campaign(
                         f"class {class_name!r} returned {len(packed)} "
                         f"verdicts for {len(faults)} faults"
                     )
+                if not isinstance(packed, PlaneVerdicts) or pair_verdicts != (
+                    packed.streams is not None
+                ):
+                    expected = "(stream, signature) pair" if pair_verdicts else "bool"
+                    raise TypeError(
+                        f"flow {flow_name!r} produced {type(packed).__name__}; "
+                        f"expected packed {expected} verdicts"
+                    )
                 if pair_verdicts:
-                    if not isinstance(packed, PackedPairVerdicts):
-                        raise TypeError(
-                            f"aliasing flow {flow_name!r} produced "
-                            f"{type(packed).__name__}; expected packed "
-                            "(stream, signature) pair verdicts"
-                        )
                     stream_hits = packed.stream_count()
                     aliased = packed.aliased_count()
-                else:
-                    if not isinstance(packed, PackedVerdicts):
-                        raise TypeError(
-                            f"flow {flow_name!r} produced "
-                            f"{type(packed).__name__}; expected packed "
-                            "bool verdicts"
-                        )
                 detected = packed.count()
                 missed = [
                     faults[i] for i in packed.missed_indices(keep_undetected)
@@ -497,7 +487,7 @@ class CompareFlow:
 
     def run_class(
         self, engine: Engine, faults: Sequence[Fault], context: object = None
-    ) -> PackedVerdicts:
+    ) -> PlaneVerdicts:
         return engine.detect_class_batch(
             self.test,
             self.n_words,
@@ -600,7 +590,7 @@ class SignatureFlow:
 
     def run_class(
         self, engine: Engine, faults: Sequence[Fault], context: object = None
-    ) -> PackedVerdicts:
+    ) -> PlaneVerdicts:
         return engine.detect_class_signature_batch(
             self.test,
             self.prediction,
@@ -657,7 +647,7 @@ class AliasingFlow(SignatureFlow):
 
     def run_class(
         self, engine: Engine, faults: Sequence[Fault], context: object = None
-    ) -> PackedPairVerdicts:
+    ) -> PlaneVerdicts:
         return engine.detect_class_aliasing_batch(
             self.test,
             self.prediction,

@@ -42,10 +42,6 @@ class CellObservation:
     clean_one: int = 0  # read 1 where 1 expected
 
     @property
-    def clean_reads(self) -> int:
-        return self.clean_zero + self.clean_one
-
-    @property
     def always_reads_zero(self) -> bool:
         """Consistent with a cell pinned at 0: every read returned 0."""
         return self.wrong_zero > 0 and self.wrong_one == 0 and self.clean_one == 0

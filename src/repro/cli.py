@@ -75,8 +75,11 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import signal
 import sys
+import threading
 
 from .analysis.coverage import (
     aliasing_flow,
@@ -825,8 +828,28 @@ _COMMANDS = {
 }
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread so that the same cleanup runs
+    as on Ctrl-C (worker pool torn down, no ``*.tmp`` left behind)."""
+
+
+def _terminate_handler(pid: int):
+    def handler(signum, frame) -> None:
+        if os.getpid() != pid:
+            # A worker forked before it reset the handler: die as
+            # SIGTERM would have made it.
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+        raise _Terminated
+
+    return handler
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _terminate_handler(os.getpid()))
     try:
         return _COMMANDS[args.command](args)
     except KeyError as error:  # unknown catalog name
@@ -838,6 +861,12 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":  # pragma: no cover

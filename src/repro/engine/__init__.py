@@ -65,7 +65,7 @@ from .program import (
     compile_symbolic,
 )
 from .reference import ReferenceEngine, execute_program
-from .verdicts import PackedPairVerdicts, PackedVerdicts
+from .verdicts import PlaneVerdicts
 
 # Imported last: the symbolic backend reuses the analysis layer's mask
 # tracking, and repro.analysis.coverage imports back from this package
@@ -93,8 +93,7 @@ __all__ = [
     "FaultPlan",
     "FaultToleranceStats",
     "MarchProgram",
-    "PackedPairVerdicts",
-    "PackedVerdicts",
+    "PlaneVerdicts",
     "ProgramElement",
     "ProgramOp",
     "ReadRecord",

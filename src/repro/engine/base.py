@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.faults import Fault
     from ..memory.model import Memory
     from .program import MarchProgram
-    from .verdicts import PackedPairVerdicts, PackedVerdicts
+    from .verdicts import PlaneVerdicts
 
 
 class ExecutionError(RuntimeError):
@@ -273,11 +273,11 @@ class Engine:
         *,
         derive_writes: bool = True,
         context: object = None,
-    ) -> "PackedVerdicts":
+    ) -> "PlaneVerdicts":
         """Compare-oracle verdicts for a whole fault class, packed.
 
         Same oracle as :meth:`detect_batch`, but the result is a
-        :class:`~repro.engine.verdicts.PackedVerdicts` bitset —
+        :class:`~repro.engine.verdicts.PlaneVerdicts` bitset —
         campaigns count, transport, and sample undetected faults from
         the packed form without building per-fault bool lists.  The
         base implementation packs the per-fault loop's output; the
@@ -285,9 +285,9 @@ class Engine:
         streaming :class:`~repro.memory.injection.FaultClass`
         descriptors.
         """
-        from .verdicts import PackedVerdicts
+        from .verdicts import PlaneVerdicts
 
-        return PackedVerdicts.from_bools(
+        return PlaneVerdicts.from_bools(
             self.detect_batch(
                 test,
                 n_words,
@@ -311,12 +311,12 @@ class Engine:
         misr_width: int = 16,
         misr_seed: int = 0,
         context: object = None,
-    ) -> "PackedVerdicts":
+    ) -> "PlaneVerdicts":
         """Signature-oracle verdicts for a whole fault class, packed
         (:meth:`detect_signature_batch` lifted to bitsets)."""
-        from .verdicts import PackedVerdicts
+        from .verdicts import PlaneVerdicts
 
-        return PackedVerdicts.from_bools(
+        return PlaneVerdicts.from_bools(
             self.detect_signature_batch(
                 test,
                 prediction,
@@ -342,12 +342,12 @@ class Engine:
         misr_width: int = 16,
         misr_seed: int = 0,
         context: object = None,
-    ) -> "PackedPairVerdicts":
+    ) -> "PlaneVerdicts":
         """Aliasing-oracle pair verdicts for a whole fault class, packed
         (:meth:`detect_aliasing_batch` lifted to paired bitsets)."""
-        from .verdicts import PackedPairVerdicts
+        from .verdicts import PlaneVerdicts
 
-        return PackedPairVerdicts.from_pairs(
+        return PlaneVerdicts.from_pairs(
             self.detect_aliasing_batch(
                 test,
                 prediction,

@@ -110,7 +110,7 @@ from ..memory.injection import (
 from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
 from .program import MarchProgram, pack_words, replicate_mask
 from .reference import execute_program
-from .verdicts import PackedPairVerdicts, PackedVerdicts
+from .verdicts import PlaneVerdicts
 
 # Streaming classes whose faults never leave one word, so the packed
 # session kernels simulate every fault of the class in word lanes (AF
@@ -265,7 +265,7 @@ class BatchEngine(Engine):
         *,
         derive_writes: bool = True,
         context: "_CampaignContext | None" = None,
-    ) -> PackedVerdicts:
+    ) -> PlaneVerdicts:
         """Compare-oracle verdicts of a whole fault class in packed
         one-pass kernels.
 
@@ -338,7 +338,7 @@ class BatchEngine(Engine):
         misr_width: int = 16,
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
-    ) -> PackedVerdicts:
+    ) -> PlaneVerdicts:
         """Signature verdicts of a whole fault class: the signature half
         of the packed session kernel (:meth:`_SignatureContext.detect_class`)
         where it applies, the per-fault path otherwise."""
@@ -365,7 +365,7 @@ class BatchEngine(Engine):
         misr_width: int = 16,
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
-    ) -> PackedPairVerdicts:
+    ) -> PlaneVerdicts:
         """Pair verdicts of a whole fault class: the streaming classes
         :meth:`_SignatureContext.has_class_kernel` accepts take the
         packed session kernels; anything else (materialized lists,
@@ -477,25 +477,6 @@ class _WordLanes:
             return (lambda state: forced(state, state)), forced
         return (lambda state: state), triggered
 
-    def _intra_cf_vectors(self, variants: int, run) -> list[tuple[int, ...]]:
-        """Per-fault rows of an intra-word CF class in ``pair_bits``
-        order (aggressor-major), each fault's verdicts at its word
-        lane's bit 0 (``slot_stride = width``).  ``run(a_bit, variant)``
-        returns the planes of one broadcast pass; over a clean baseline,
-        fault ``(a_bit, v, variant)`` shows only at bit ``v``.  Only one
-        aggressor's passes are held at a time."""
-        ones = self._bit_lane(0)
-        rows = []
-        for a_bit in range(self.width):
-            passes = [run(a_bit, variant) for variant in range(variants)]
-            for v_bit in range(self.width):
-                if v_bit != a_bit:
-                    rows.extend(
-                        tuple((plane >> v_bit) & ones for plane in planes)
-                        for planes in passes
-                    )
-        return rows
-
     def _lane_any(
         self, det: int, n_lanes: int, stride: int = 0, parity: bool = False
     ) -> int:
@@ -589,7 +570,7 @@ class _CampaignContext(_WordLanes):
         return cell.addr * self.width + cell.bit
 
     # -- class-level dispatch ------------------------------------------
-    def detect_class(self, fault_class: FaultClass) -> PackedVerdicts:
+    def detect_class(self, fault_class: FaultClass) -> PlaneVerdicts:
         """Packed verdict bitset of one whole fault class.
 
         The class kernels apply when the class geometry matches this
@@ -616,22 +597,20 @@ class _CampaignContext(_WordLanes):
                 cw = fault_class.width
                 saf0, saf1 = self._saf_planes()
                 cmask = (1 << cw) - 1
-                return PackedVerdicts(
+                return PlaneVerdicts(
                     len(fault_class),
                     (
                         replicate_mask(saf0 & cmask, n, cw),
                         replicate_mask(saf1 & cmask, n, cw),
                     ),
-                    stride=2,
                 )
             if exact and isinstance(fault_class, TransitionClass):
-                return PackedVerdicts(
+                return PlaneVerdicts(
                     len(fault_class),
                     (self._tf_plane(True), self._tf_plane(False)),
-                    stride=2,
                 )
             if exact and isinstance(fault_class, ReadDisturbClass):
-                return PackedVerdicts(
+                return PlaneVerdicts(
                     len(fault_class),
                     (self._rdf_plane(fault_class.deceptive),),
                 )
@@ -645,27 +624,27 @@ class _CampaignContext(_WordLanes):
                 and fault_class.same_bit_only
             ):
                 return self._inter_cf_class(fault_class)
-        return PackedVerdicts.from_bools(
+        return PlaneVerdicts.from_bools(
             self.detect(fault) for fault in fault_class
         )
 
-    def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedVerdicts:
+    def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PlaneVerdicts:
         """All intra-word coupling faults of one kind: ``width *
         variants`` broadcast passes (:meth:`_packed_run`) answer the
-        whole class for every address at once."""
+        whole class for every address at once.  Over a clean baseline a
+        pass never mismatches at its aggressor bit, so its plane is
+        handed over as it is (:func:`_intra_cf_places`)."""
         kind = fault_class.cf_kind
-        rows = self._intra_cf_vectors(
-            fault_class.variants,
-            lambda a_bit, variant: (self._packed_run(kind, variant, a_bit),),
-        )
-        return PackedVerdicts(
-            len(fault_class),
-            [vector for (vector,) in rows],
-            stride=fault_class.n_pairs * fault_class.variants,
-            slot_stride=self.width,
+        planes = [
+            self._packed_run(kind, variant, a_bit)
+            for a_bit in range(self.width)
+            for variant in range(fault_class.variants)
+        ]
+        return PlaneVerdicts(
+            len(fault_class), planes, _intra_cf_places(fault_class), self.width
         )
 
-    def _af_class(self, fault_class: AddressFaultClass) -> PackedVerdicts:
+    def _af_class(self, fault_class: AddressFaultClass) -> PlaneVerdicts:
         """All address-decoder faults of the class in two passes.
 
         AF-none (the first ``n`` faults, one word lane each) keeps no
@@ -688,18 +667,18 @@ class _CampaignContext(_WordLanes):
             )
             det = self._pair_lane_run(lanes)
             verdicts |= self._lane_any(det, lanes.n_lanes) << (n * w)
-        return PackedVerdicts(len(fault_class), (verdicts,), slot_stride=w)
+        return PlaneVerdicts(len(fault_class), (verdicts,), slot_stride=w)
 
-    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PackedVerdicts:
+    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
         """All same-bit inter-word coupling faults of one kind in one
         pair-lane pass (:func:`_inter_cf_lanes`)."""
         if not len(fault_class):
-            return PackedVerdicts(0, (0,))
+            return PlaneVerdicts(0, (0,))
         lanes = _inter_cf_lanes(
             fault_class, self.words, self.width, self.program.word_mask
         )
         det = self._pair_lane_run(lanes)
-        return PackedVerdicts(
+        return PlaneVerdicts(
             len(fault_class),
             (self._lane_any(det, lanes.n_lanes),),
             slot_stride=self.width,
@@ -1168,7 +1147,7 @@ class _SignatureContext(_WordLanes):
         self.misr_width = misr_width
         self.misr_seed = misr_seed
         self._schedule: "tuple[tuple, tuple] | None" = None
-        self._class_verdicts: dict[FaultClass, PackedPairVerdicts] = {}
+        self._class_verdicts: dict[FaultClass, PlaneVerdicts] = {}
 
         # Fault-free read streams of both phases, run back to back on
         # one memory (a read-only prediction leaves it untouched, but a
@@ -1239,7 +1218,7 @@ class _SignatureContext(_WordLanes):
             or (isinstance(faults, InterWordCFClass) and faults.same_bit_only)
         )
 
-    def detect_class(self, fault_class: FaultClass) -> PackedPairVerdicts:
+    def detect_class(self, fault_class: FaultClass) -> PlaneVerdicts:
         """``(stream, signature)`` pair verdicts of a whole class
         accepted by :meth:`has_class_kernel`, bit-identical to
         :meth:`detect_pair` fault by fault.  Cached per class, so the
@@ -1258,7 +1237,7 @@ class _SignatureContext(_WordLanes):
             self._class_verdicts[fault_class] = verdicts
         return verdicts
 
-    def _single_cell_class(self, fault_class: FaultClass) -> PackedPairVerdicts:
+    def _single_cell_class(self, fault_class: FaultClass) -> PlaneVerdicts:
         """Every cell is its own fault: one pass per variant, with the
         verdict of cell ``(addr, bit)`` at bit ``addr*width + bit``."""
         if isinstance(fault_class, StuckAtClass):
@@ -1273,33 +1252,31 @@ class _SignatureContext(_WordLanes):
             det, acc = self._packed_session(kind, variant)
             stream.append(det)
             signature.append(self._gap_differs(acc, self._full))
-        n, stride = len(fault_class), len(variants)
-        return PackedPairVerdicts(
-            PackedVerdicts(n, stream, stride=stride),
-            PackedVerdicts(n, signature, stride=stride),
-        )
+        return PlaneVerdicts(len(fault_class), signature, streams=stream)
 
-    def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedPairVerdicts:
+    def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PlaneVerdicts:
         """One broadcast pass per (aggressor bit, variant), as in the
         compare kernel.  A coupling fault only changes its victim cell
         and the kernel applies only over a clean fault-free stream, so
         every victim bit is its own hypothesis, observed like a single
-        cell (:meth:`_single_cell_class`)."""
+        cell (:meth:`_single_cell_class`).  The aggressor bit never
+        differs from the fault-free run, so only the signature plane,
+        whose gap test would set it, is cut to the victim bits."""
         kind = fault_class.cf_kind
-
-        def run(a_bit: int, variant: int) -> tuple[int, int]:
-            det, acc = self._packed_session(kind, variant, a_bit)
-            return det, self._gap_differs(acc, self._full)
-
-        stream, signature = zip(*self._intra_cf_vectors(fault_class.variants, run))
-        n = len(fault_class)
-        stride = fault_class.n_pairs * fault_class.variants
-        return PackedPairVerdicts(
-            PackedVerdicts(n, stream, stride=stride, slot_stride=self.width),
-            PackedVerdicts(n, signature, stride=stride, slot_stride=self.width),
+        stream = []
+        signature = []
+        for a_bit in range(self.width):
+            victims = self._full ^ self._bit_lane(a_bit)
+            for variant in range(fault_class.variants):
+                det, acc = self._packed_session(kind, variant, a_bit)
+                stream.append(det)
+                signature.append(self._gap_differs(acc, victims))
+        return PlaneVerdicts(
+            len(fault_class), signature, _intra_cf_places(fault_class),
+            self.width, stream,
         )
 
-    def _af_class(self, fault_class: AddressFaultClass) -> PackedPairVerdicts:
+    def _af_class(self, fault_class: AddressFaultClass) -> PlaneVerdicts:
         """AF-none lanes (the first ``n`` faults) are stateless word
         lanes: every read of the dead address returns 0, so its error is
         the fault-free raw word and the weight planes apply as they are.
@@ -1341,9 +1318,9 @@ class _SignatureContext(_WordLanes):
         signature = self._parity_gap_differs(acc, n, w) | (
             self._parity_gap_differs(pair_acc, lanes.n_lanes, w) << (n * w)
         )
-        return _lane_pairs(len(fault_class), stream, signature, w)
+        return PlaneVerdicts(len(fault_class), (signature,), None, w, (stream,))
 
-    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PackedPairVerdicts:
+    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
         """Same-bit inter-word CF lanes (:func:`_inter_cf_lanes`) through
         both phases, at lane stride ``S = max(width + 1, misr_width)``.
 
@@ -1381,12 +1358,11 @@ class _SignatureContext(_WordLanes):
                     hit = ((err + carry) >> w) & ones
                     rows = lanes.gather([weights[k][f] for k, f in zip(kv, folds)])
                     acc ^= (hit * row_mask) & rows
-        return _lane_pairs(
-            len(fault_class),
-            self._lane_any(det, lanes.n_lanes, stride),
-            self._lane_any(acc ^ (ones * self.fault_free_gap), lanes.n_lanes, stride),
-            stride,
+        signature = self._lane_any(
+            acc ^ (ones * self.fault_free_gap), lanes.n_lanes, stride
         )
+        stream = self._lane_any(det, lanes.n_lanes, stride)
+        return PlaneVerdicts(len(fault_class), (signature,), None, stride, (stream,))
 
     def _pair_lane_session(
         self, lanes: _PairLanes, stride: int
@@ -1827,13 +1803,17 @@ def _inter_cf_lanes(
     return _PairLanes(n_lanes, lower, aggr, victim, fetch, store, per_pair)
 
 
-def _lane_pairs(
-    count: int, stream: int, signature: int, stride: int
-) -> PackedPairVerdicts:
-    """One-vector pair verdicts, each fault's at its lane's bit 0."""
-    return PackedPairVerdicts(
-        PackedVerdicts(count, (stream,), slot_stride=stride),
-        PackedVerdicts(count, (signature,), slot_stride=stride),
+def _intra_cf_places(fault_class: IntraWordCFClass) -> tuple[tuple[int, int], ...]:
+    """:class:`PlaneVerdicts` layout of an intra-word CF class over its
+    broadcast planes, one per (aggressor bit ``a``, variant) in that
+    order: in ``pair_bits`` order, fault ``(a, v, variant)`` of address
+    ``addr`` is bit ``addr*width + v`` of plane ``a*variants +
+    variant``."""
+    variants = fault_class.variants
+    return tuple(
+        (a_bit * variants + variant, v_bit)
+        for a_bit, v_bit in map(fault_class.pair_bits, range(fault_class.n_pairs))
+        for variant in range(variants)
     )
 
 

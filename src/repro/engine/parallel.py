@@ -125,7 +125,7 @@ from .retry import FaultToleranceStats, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..memory.faults import Fault
-    from .verdicts import PackedPairVerdicts, PackedVerdicts
+    from .verdicts import PlaneVerdicts
 
 
 def work_key(flow) -> tuple:
@@ -215,9 +215,12 @@ def _worker_main(conn, state) -> None:
     Module-level so it pickles under both fork and spawn.  A terminal
     interrupt reaches the whole process group; the parent owns it and
     tears the pool down, so workers ignore SIGINT rather than each
-    printing a traceback."""
+    printing a traceback.  SIGTERM keeps its default action (a forked
+    worker may inherit the CLI's handler): the pool's ``terminate()``
+    must kill a worker outright."""
     global _WORKER_STATE
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_STATE = state
     while True:
         try:
@@ -408,6 +411,7 @@ class _SupervisedPool:
         self._fn, self._run_inline = fn, run_inline
         self._results = results = {}
         self._pending = pending = deque(leases)
+        interrupted = False
         try:
             while len(results) < len(leases):
                 now = time.monotonic()
@@ -434,18 +438,25 @@ class _SupervisedPool:
                     if worker.conn in ready:
                         self._collect(worker)
                 self._reap()
+        except BaseException as exc:
+            interrupted = not isinstance(exc, Exception)
+            raise
         finally:
             # A raising run (degrade=False, or a genuine error
             # resurfacing from an in-process degraded chunk) must not
             # leave workers computing abandoned leases: their late
             # results could collide with a future dispatch's
-            # (index, attempt) tag, so replace those workers outright.
-            # On the success path every lease was acked and this is a
-            # no-op.
+            # (index, attempt) tag, so replace those workers outright
+            # (an interrupt abandons the pool: no replacement is forked
+            # only to be killed).  On the success path every lease was
+            # acked and this is a no-op.
             for worker in list(self._workers):
                 if worker.lease is not None:
                     worker.lease = None
-                    self._replace(worker)
+                    if interrupted:
+                        self._discard(worker, terminate=True)
+                    else:
+                        self._replace(worker)
             self._fn = self._run_inline = None
         return [results[lease.index] for lease in leases]
 
@@ -833,7 +844,7 @@ class CampaignRunner(SupervisedRunner):
         faults: "Sequence[Fault]",
         *,
         class_name: str | None = None,
-    ) -> "PackedVerdicts | PackedPairVerdicts":
+    ) -> "PlaneVerdicts":
         """Packed verdict bitset for one fault class, bit-identical to
         ``flow.run_class(engine, faults)`` executed inline."""
         if (

@@ -1,26 +1,32 @@
-"""Packed verdict bitsets: the class-level result containers.
+"""Plane verdicts: the class-level result container.
 
-A campaign's per-class result used to be a Python list of one bool (or
-``(stream_hit, signature_hit)`` tuple) per fault — linear Python-object
-work to build, transport, and count.  The containers here store the
-same verdicts as a handful of big integers:
+A campaign's per-class result is one detection bit per fault (in
+aliasing mode, a ``(stream_hit, signature_hit)`` pair).  The class
+kernels compute those bits as whole packed planes, and
+:class:`PlaneVerdicts` keeps the planes exactly as a kernel hands them
+over, together with a layout that places every fault on one bit:
 
-* :class:`PackedVerdicts` — one detection bit per fault;
-* :class:`PackedPairVerdicts` — the aliasing-mode pair of bit planes.
+* a class enumerates as ``slot``-major runs of ``stride`` variants, so
+  fault ``i`` is variant ``j = i % stride`` of slot ``i // stride``;
+* ``places[j] = (p_j, o_j)`` names variant ``j``'s plane and its offset
+  inside a slot's ``slot_stride`` bits (``stride = len(places)``);
+* the verdict of fault ``i`` is bit ``slot * slot_stride + o_j`` of
+  ``planes[p_j]``.
 
-Layout.  A fault class enumerates as ``slot``-major runs of ``stride``
-parameter variants (e.g. SAF: cell-major, value 0 then 1 → stride 2).
-The verdict of fault ``i`` lives at bit ``(i // stride) * slot_stride``
-of ``vectors[i % stride]`` — one vector per variant, one (possibly
-spaced) bit per slot.  ``slot_stride`` lets a kernel hand over its
-natural geometry without recompaction: the intra-word coupling passes
-produce one detection bit per *word lane* (slot = address, spacing =
-word width), which plugs in directly as ``slot_stride = width``.
+Word lanes (SAF/TF/RDF) hand over one plane per variant, offset 0, one
+bit per cell.  The broadcast intra-word CF kernels hand over one plane
+per (aggressor bit ``a``, variant) pass: slot = address, ``slot_stride
+= width``, and the victim bit is the offset.  The pair-lane kernels (AF,
+inter-word CF) hand over one plane with each lane's verdict at its bit
+0, ``slot_stride`` = the lane stride.  The pair form carries a second
+plane set, ``streams``, in the same layout beside the signature planes.
 
-Counting is ``int.bit_count`` over the vectors, transport (pickling to
-the pool parent) is a few bytes per 8 faults, and the undetected-fault
-sample needed for reports is recovered with lowest-set-bit extraction
-on the inverted vectors — no per-fault iteration anywhere.
+A kernel must hand over planes with no bit outside the layout; nothing
+is re-masked here.  Counting is then one ``bit_count`` per plane,
+transport (pickling to the pool parent) ships the planes as they are,
+and the undetected-fault sample for reports inverts each plane against
+its own valid bits in a low window of slots.  Indexing decodes on
+demand; nothing iterates per fault.
 """
 
 from __future__ import annotations
@@ -47,33 +53,39 @@ def _lowest_bits(value: int, limit: int) -> list[int]:
     return out
 
 
-class PackedVerdicts(Sequence):
-    """Boolean verdicts of one fault class as packed bit vectors."""
+class PlaneVerdicts(Sequence):
+    """Verdicts of one fault class: kernel planes plus their layout.
 
-    __slots__ = ("n", "stride", "slot_stride", "vectors")
+    Item access yields a bool, or a ``(stream_hit, signature_hit)``
+    tuple in the pair form (``streams`` set); the counters and
+    :meth:`missed_indices` follow the signature planes."""
+
+    __slots__ = ("n", "planes", "places", "slot_stride", "streams")
 
     def __init__(
         self,
         n: int,
-        vectors: Sequence[int],
-        *,
-        stride: int = 1,
+        planes: Sequence[int],
+        places: Sequence[tuple[int, int]] | None = None,
         slot_stride: int = 1,
+        streams: Sequence[int] | None = None,
     ) -> None:
-        if stride < 1 or slot_stride < 1:
-            raise ValueError("stride and slot_stride must be >= 1")
-        if len(vectors) != stride:
-            raise ValueError("need exactly one vector per stride variant")
-        if n % stride:
-            raise ValueError("fault count must be a multiple of stride")
-        valid = _valid_mask(n // stride, slot_stride)
+        self.planes = tuple(planes)
+        self.places = (
+            tuple((p, 0) for p in range(len(self.planes)))
+            if places is None
+            else tuple(places)
+        )
+        if n % len(self.places):
+            raise ValueError("fault count must be a multiple of the layout stride")
+        if streams is not None and len(streams) != len(self.planes):
+            raise ValueError("stream and signature planes must pair up")
         self.n = n
-        self.stride = stride
         self.slot_stride = slot_stride
-        self.vectors = tuple(v & valid for v in vectors)
+        self.streams = None if streams is None else tuple(streams)
 
     @classmethod
-    def from_bools(cls, verdicts: Iterable[object]) -> "PackedVerdicts":
+    def from_bools(cls, verdicts: Iterable[object]) -> "PlaneVerdicts":
         """Pack a per-fault bool list (strict: rejects non-bool verdicts,
         preserving the tuple-truthiness guard of the list pipeline)."""
         packed = 0
@@ -84,143 +96,14 @@ class PackedVerdicts(Sequence):
                     "expected a bool verdict, got "
                     f"{type(verdict).__name__}: {verdict!r}"
                 )
-            if verdict:
-                packed |= 1 << n
+            packed |= verdict << n
             n += 1
         return cls(n, (packed,))
 
     @classmethod
-    def concat(cls, parts: Sequence["PackedVerdicts"]) -> "PackedVerdicts":
-        """Join stride-1 chunk results back into one class vector."""
-        packed = 0
-        offset = 0
-        for part in parts:
-            if part.stride != 1 or part.slot_stride != 1:
-                raise ValueError("concat only supports flat (stride 1) chunks")
-            packed |= part.vectors[0] << offset
-            offset += part.n
-        return cls(offset, (packed,))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.n))]
-        if index < 0:
-            index += self.n
-        if not 0 <= index < self.n:
-            raise IndexError("verdict index out of range")
-        slot, variant = divmod(index, self.stride)
-        return bool((self.vectors[variant] >> (slot * self.slot_stride)) & 1)
-
-    def __iter__(self) -> Iterator[bool]:
-        if self.stride == 1 and self.slot_stride == 1:
-            vector = self.vectors[0]
-            for i in range(self.n):
-                yield bool((vector >> i) & 1)
-            return
-        for i in range(self.n):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedVerdicts):
-            return self.n == other.n and self.tolist() == other.tolist()
-        if isinstance(other, list):
-            return self.tolist() == other
-        return NotImplemented
-
-    def __hash__(self) -> None:  # pragma: no cover - mutable-equality type
-        raise TypeError("PackedVerdicts is unhashable")
-
-    def __reduce__(self):
-        return (
-            _rebuild_verdicts,
-            (self.n, self.vectors, self.stride, self.slot_stride),
-        )
-
-    def count(self) -> int:
-        """Number of detected faults (popcount over the vectors)."""
-        return sum(v.bit_count() for v in self.vectors)
-
-    def missed_indices(self, limit: int | None = None) -> list[int]:
-        """Fault indices with a False verdict, ascending, capped at
-        *limit*.
-
-        The first *limit* misses in (slot, variant) order lie in the
-        lowest slots, so only a low window of slots is scanned: it
-        starts at ``ceil(limit / stride)`` slots and grows 4x until it
-        holds *limit* misses or covers every slot.  Each vector is cut
-        to the window before it is inverted, so the cost follows the
-        window, not the class size."""
-        limit = self.n if limit is None else min(limit, self.n)
-        if limit <= 0:
-            return []
-        slots = self.n // self.stride
-        window = -(-limit // self.stride)
-        while True:
-            window = min(window, slots)
-            out = self._missed_in(_valid_mask(window, self.slot_stride), limit)
-            if len(out) == limit or window == slots:
-                return out
-            window *= 4
-
-    def _missed_in(self, low: int, limit: int) -> list[int]:
-        """The first *limit* misses among the slots set in *low*."""
-        out: list[int] = []
-        per_variant = [
-            _lowest_bits((vector & low) ^ low, limit) for vector in self.vectors
-        ]
-        cursors = [0] * self.stride
-        while len(out) < limit:
-            best = None
-            for variant, bits in enumerate(per_variant):
-                cursor = cursors[variant]
-                if cursor >= len(bits):
-                    continue
-                slot = bits[cursor] // self.slot_stride
-                if best is None or (slot, variant) < best[:2]:
-                    best = (slot, variant)
-            if best is None:
-                break
-            slot, variant = best
-            cursors[variant] += 1
-            out.append(slot * self.stride + variant)
-        return out
-
-    def tolist(self) -> list[bool]:
-        return list(self)
-
-
-def _rebuild_verdicts(n, vectors, stride, slot_stride):
-    return PackedVerdicts(n, vectors, stride=stride, slot_stride=slot_stride)
-
-
-class PackedPairVerdicts(Sequence):
-    """Aliasing-mode ``(stream_hit, signature_hit)`` verdicts, packed.
-
-    Two parallel :class:`PackedVerdicts`-layout vector sets share one
-    geometry; item access recovers the legacy tuple form, while the
-    campaign counters come straight off the planes — in particular the
-    aliased count is ``popcount(stream & ~signature)`` per vector.
-    """
-
-    __slots__ = ("stream", "signature")
-
-    def __init__(self, stream: PackedVerdicts, signature: PackedVerdicts) -> None:
-        if (
-            stream.n != signature.n
-            or stream.stride != signature.stride
-            or stream.slot_stride != signature.slot_stride
-        ):
-            raise ValueError("stream/signature planes must share geometry")
-        self.stream = stream
-        self.signature = signature
-
-    @classmethod
-    def from_pairs(cls, verdicts: Iterable[object]) -> "PackedPairVerdicts":
-        """Pack per-fault ``(stream_hit, signature_hit)`` tuples
-        (strict, mirroring the list pipeline's verdict validation)."""
+    def from_pairs(cls, verdicts: Iterable[object]) -> "PlaneVerdicts":
+        """Pack per-fault ``(stream_hit, signature_hit)`` tuples into the
+        pair form (strict, mirroring the list pipeline's validation)."""
         stream = 0
         signature = 0
         n = 0
@@ -235,66 +118,127 @@ class PackedPairVerdicts(Sequence):
                     "expected a (stream_hit, signature_hit) bool pair, got "
                     f"{type(verdict).__name__}: {verdict!r}"
                 )
-            if verdict[0]:
-                stream |= 1 << n
-            if verdict[1]:
-                signature |= 1 << n
+            stream |= verdict[0] << n
+            signature |= verdict[1] << n
             n += 1
-        return cls(PackedVerdicts(n, (stream,)), PackedVerdicts(n, (signature,)))
+        return cls(n, (signature,), streams=(stream,))
 
     @classmethod
-    def concat(cls, parts: Sequence["PackedPairVerdicts"]) -> "PackedPairVerdicts":
-        return cls(
-            PackedVerdicts.concat([part.stream for part in parts]),
-            PackedVerdicts.concat([part.signature for part in parts]),
-        )
+    def concat(cls, parts: Sequence["PlaneVerdicts"]) -> "PlaneVerdicts":
+        """Join flat (stride 1, one bit per fault) chunk results back
+        into one class result."""
+        signature = stream = offset = 0
+        for part in parts:
+            if part.places != ((0, 0),) or part.slot_stride != 1:
+                raise ValueError("concat only supports flat (stride 1) chunks")
+            signature |= part.planes[0] << offset
+            if part.streams is not None:
+                stream |= part.streams[0] << offset
+            offset += part.n
+        paired = bool(parts) and parts[0].streams is not None
+        return cls(offset, (signature,), streams=(stream,) if paired else None)
 
     @property
-    def n(self) -> int:
-        return self.stream.n
+    def signature(self) -> "PlaneVerdicts":
+        """The bool verdicts of the signature planes alone."""
+        return PlaneVerdicts(self.n, self.planes, self.places, self.slot_stride)
 
     def __len__(self) -> int:
-        return self.stream.n
+        return self.n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(self.n))]
-        return (self.stream[index], self.signature[index])
+        if index < 0:
+            index += self.n
+        if not 0 <= index < self.n:
+            raise IndexError("verdict index out of range")
+        slot, j = divmod(index, len(self.places))
+        plane, offset = self.places[j]
+        bit = slot * self.slot_stride + offset
+        hit = bool((self.planes[plane] >> bit) & 1)
+        if self.streams is None:
+            return hit
+        return (bool((self.streams[plane] >> bit) & 1), hit)
 
-    def __iter__(self) -> Iterator[tuple[bool, bool]]:
-        return iter(zip(self.stream, self.signature, strict=True))
+    def __iter__(self) -> Iterator:
+        if self.streams is None and self.places == ((0, 0),) and self.slot_stride == 1:
+            plane = self.planes[0]
+            for i in range(self.n):
+                yield bool((plane >> i) & 1)
+            return
+        for i in range(self.n):
+            yield self[i]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedPairVerdicts):
-            return self.tolist() == other.tolist()
+        if isinstance(other, PlaneVerdicts):
+            return self.n == other.n and self.tolist() == other.tolist()
         if isinstance(other, list):
             return self.tolist() == other
         return NotImplemented
 
     def __hash__(self) -> None:  # pragma: no cover - mutable-equality type
-        raise TypeError("PackedPairVerdicts is unhashable")
+        raise TypeError("PlaneVerdicts is unhashable")
 
     def __reduce__(self):
-        return (PackedPairVerdicts, (self.stream, self.signature))
+        return (
+            PlaneVerdicts,
+            (self.n, self.planes, self.places, self.slot_stride, self.streams),
+        )
 
     def count(self) -> int:
-        """Detected faults — signature-visible hits, matching the list
-        pipeline's use of the pair's second component."""
-        return self.signature.count()
+        """Detected faults: one popcount per (signature) plane."""
+        return sum(plane.bit_count() for plane in self.planes)
 
     def stream_count(self) -> int:
-        return self.stream.count()
+        """Stream-caught faults (pair form)."""
+        return sum(plane.bit_count() for plane in self.streams)
 
     def aliased_count(self) -> int:
         """Stream-caught faults whose MISR signature still matched."""
         return sum(
-            (s & ~g).bit_count()
-            for s, g in zip(self.stream.vectors, self.signature.vectors)
+            (stream & ~signature).bit_count()
+            for stream, signature in zip(self.streams, self.planes)
         )
 
     def missed_indices(self, limit: int | None = None) -> list[int]:
-        """Indices missed by the *signature* verdict (report semantics)."""
-        return self.signature.missed_indices(limit)
+        """Fault indices with a False (signature) verdict, ascending,
+        capped at *limit*.
 
-    def tolist(self) -> list[tuple[bool, bool]]:
+        The first *limit* misses in (slot, variant) order lie in the
+        lowest slots, so only a low window of slots is scanned: it
+        starts at ``ceil(limit / stride)`` slots and grows 4x until it
+        holds *limit* misses or covers every slot.  Each plane is
+        inverted against its own valid offsets in the window only (an
+        intra-word CF plane never carries its aggressor bit).  Bit order
+        in a plane follows fault order across slots but not inside one,
+        so a plane with ``k`` offsets yields its ``limit + k - 1`` lowest
+        misses, which hold its first *limit* in fault order; they map
+        back to fault indices and the planes' candidates merge in
+        sorted order."""
+        limit = self.n if limit is None else min(limit, self.n)
+        if limit <= 0:
+            return []
+        stride = len(self.places)
+        slots = self.n // stride
+        offsets: dict[int, int] = {}
+        for plane, offset in self.places:
+            offsets[plane] = offsets.get(plane, 0) | (1 << offset)
+        variant = {place: j for j, place in enumerate(self.places)}
+        window = -(-limit // stride)
+        while True:
+            window = min(window, slots)
+            low = _valid_mask(window, self.slot_stride)
+            out = []
+            for plane, mask in offsets.items():
+                valid = low * mask
+                missed = (self.planes[plane] & valid) ^ valid
+                for bit in _lowest_bits(missed, limit + mask.bit_count() - 1):
+                    slot, offset = divmod(bit, self.slot_stride)
+                    out.append(slot * stride + variant[plane, offset])
+            if len(out) >= limit or window == slots:
+                return sorted(out)[:limit]
+            window *= 4
+
+    def tolist(self) -> list:
         return list(self)

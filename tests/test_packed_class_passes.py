@@ -8,9 +8,9 @@ The megaword contract has three parts, each tested here:
   with O(1) ``len`` and index arithmetic instead of materialized
   ``Fault`` lists;
 * **packed verdict bitsets** —
-  :class:`~repro.engine.PackedVerdicts` /
-  :class:`~repro.engine.PackedPairVerdicts` round-trip the per-fault
-  verdicts exactly (counts, missed indices, chunk concat, pickling);
+  :class:`~repro.engine.PlaneVerdicts` (bool and pair form) round-trips
+  the per-fault verdicts exactly (counts, missed indices, chunk concat,
+  pickling);
 * **class kernels** — the batch engine's
   :meth:`~repro.engine.BatchEngine.detect_class_batch` one-pass
   kernels are bit-identical to per-fault dispatch and the reference
@@ -34,8 +34,7 @@ from repro.core.twm import twm_transform
 from repro.engine import (
     CampaignRunner,
     ExecutionError,
-    PackedPairVerdicts,
-    PackedVerdicts,
+    PlaneVerdicts,
     compile_march,
     get_engine,
 )
@@ -173,7 +172,7 @@ class TestStreamingUniverseOrdering:
 class TestPackedVerdictContainers:
     def test_from_bools_round_trip(self):
         bools = [True, False, False, True, True]
-        packed = PackedVerdicts.from_bools(bools)
+        packed = PlaneVerdicts.from_bools(bools)
         assert list(packed) == bools
         assert packed.tolist() == bools
         assert packed.count() == 3
@@ -182,11 +181,12 @@ class TestPackedVerdictContainers:
 
     def test_from_bools_rejects_non_bool(self):
         with pytest.raises(TypeError, match="expected a bool verdict"):
-            PackedVerdicts.from_bools([True, (True, False)])
+            PlaneVerdicts.from_bools([True, (True, False)])
 
     def test_strided_layout(self):
-        # stride=2: fault i = bit i//2 of vectors[i % 2].
-        packed = PackedVerdicts(6, (0b101, 0b010), stride=2)
+        # Two planes, one per variant: fault i = bit i//2 of planes[i % 2].
+        packed = PlaneVerdicts(6, (0b101, 0b010))
+        assert packed.places == ((0, 0), (1, 0))
         assert list(packed) == [True, False, False, True, True, False]
         assert packed.count() == 3
         assert packed.missed_indices(10) == [1, 2, 5]
@@ -194,64 +194,72 @@ class TestPackedVerdictContainers:
 
     def test_slot_stride_layout(self):
         # slot_stride=3: verdicts live at every third bit.
-        packed = PackedVerdicts(3, (0b001000001,), stride=1, slot_stride=3)
+        packed = PlaneVerdicts(3, (0b001000001,), slot_stride=3)
         assert list(packed) == [True, False, True]
         assert packed.missed_indices(5) == [1]
+        # Two variants sharing one plane at offsets 2 and 0; offset 1
+        # is outside the layout and never reported missed.
+        packed = PlaneVerdicts(4, (0b000100,), ((0, 2), (0, 0)), 3)
+        assert list(packed) == [True, False, False, False]
+        assert packed.missed_indices() == [1, 2, 3]
 
     def test_concat_and_pickle(self):
         parts = [
-            PackedVerdicts.from_bools([True, False]),
-            PackedVerdicts.from_bools([False]),
-            PackedVerdicts.from_bools([True, True]),
+            PlaneVerdicts.from_bools([True, False]),
+            PlaneVerdicts.from_bools([False]),
+            PlaneVerdicts.from_bools([True, True]),
         ]
-        merged = PackedVerdicts.concat(parts)
+        merged = PlaneVerdicts.concat(parts)
         assert list(merged) == [True, False, False, True, True]
         restored = pickle.loads(pickle.dumps(merged))
         assert list(restored) == list(merged)
+        with pytest.raises(ValueError, match="flat"):
+            PlaneVerdicts.concat([PlaneVerdicts(2, (0, 0))])
 
     def test_missed_indices_window_matches_naive_scan(self):
         # The windowed scan against a per-index scan of tolist(), over
-        # random geometries, densities and limits (including stray bits
-        # between slots, which the constructor masks off).
+        # random layouts (planes shared by several variants at distinct
+        # offsets, offsets no variant uses), densities and limits.
+        # Planes carry layout bits only, as every kernel hands them
+        # over (TestPlaneLayoutInvariant checks the kernels).
         rng = random.Random(0)
         for _ in range(3000):
-            stride = rng.randint(1, 6)
             slot_stride = rng.randint(1, 9)
+            n_planes = rng.randint(1, 4)
+            cells = [(p, o) for p in range(n_planes) for o in range(slot_stride)]
+            places = rng.sample(cells, rng.randint(1, min(6, len(cells))))
             slots = rng.randint(0, 60)
             density = rng.random()
             limit = rng.choice((None, 0, 1, 2, 5, 16, rng.randint(0, 400)))
-            vectors = [
-                sum(
-                    (rng.random() < density) << (s * slot_stride)
-                    | (rng.random() < 0.1) << (s * slot_stride + 1)
-                    for s in range(slots)
-                )
-                for _ in range(stride)
-            ]
-            n = slots * stride
-            packed = PackedVerdicts(
-                n, vectors, stride=stride, slot_stride=slot_stride
-            )
+            planes = [0] * n_planes
+            for s in range(slots):
+                for p, o in places:
+                    planes[p] |= (rng.random() < density) << (s * slot_stride + o)
+            n = slots * len(places)
+            packed = PlaneVerdicts(n, planes, places, slot_stride)
             naive = [i for i, hit in enumerate(packed.tolist()) if not hit]
             cap = n if limit is None else limit
             assert packed.missed_indices(limit) == naive[:cap], (
-                stride, slot_stride, slots, density, limit,
+                places, slot_stride, slots, density, limit,
             )
 
     def test_pair_verdicts(self):
         pairs = [(True, True), (True, False), (False, False)]
-        packed = PackedPairVerdicts.from_pairs(pairs)
+        packed = PlaneVerdicts.from_pairs(pairs)
         assert packed.tolist() == pairs
         assert packed.count() == 1  # signature detections
         assert packed.stream_count() == 2
         assert packed.aliased_count() == 1  # stream hit, signature miss
         assert packed.missed_indices(5) == [1, 2]
+        assert packed.signature.tolist() == [True, False, False]
         restored = pickle.loads(pickle.dumps(packed))
         assert restored.tolist() == pairs
+        merged = PlaneVerdicts.concat([packed, packed])
+        assert merged.tolist() == pairs + pairs
 
     def test_pair_verdicts_reject_malformed(self):
         with pytest.raises(TypeError):
-            PackedPairVerdicts.from_pairs([(True, False), True])
+            PlaneVerdicts.from_pairs([(True, False), True])
 
     def test_pack_words_matches_naive(self):
         for n, w in [(0, 4), (1, 7), (13, 3), (100, 8)]:
@@ -339,7 +347,7 @@ class TestClassKernelEquivalence:
         reference = get_engine("reference")
         for cname, fc in _classes(n, w).items():
             packed = batch.detect_class_batch(twm, n, w, words, fc)
-            assert isinstance(packed, PackedVerdicts)
+            assert isinstance(packed, PlaneVerdicts)
             ref = reference.detect_batch(twm, n, w, words, list(fc))
             assert packed == ref, cname
 
@@ -491,7 +499,7 @@ class TestPairLaneKernels:
                     packed = batch.detect_class_batch(
                         twm, n, width, words, fc, derive_writes=derive
                     )
-                    assert isinstance(packed, PackedVerdicts)
+                    assert isinstance(packed, PlaneVerdicts)
                     expected = reference.detect_batch(
                         twm, n, width, words, list(fc), derive_writes=derive
                     )
@@ -705,7 +713,8 @@ class TestSessionClassKernels:
             kwargs = {"misr_width": misr_width, "misr_seed": misr_seed}
             for cname, fc in _session_classes(n, width, n).items():
                 pairs = batch.detect_class_aliasing_batch(*args, fc, **kwargs)
-                assert isinstance(pairs, PackedPairVerdicts)
+                assert isinstance(pairs, PlaneVerdicts)
+                assert pairs.streams is not None
                 expected = reference.detect_aliasing_batch(
                     *args, list(fc), **kwargs
                 )
@@ -713,7 +722,8 @@ class TestSessionClassKernels:
                 signature = batch.detect_class_signature_batch(
                     *args, fc, **kwargs
                 )
-                assert isinstance(signature, PackedVerdicts)
+                assert isinstance(signature, PlaneVerdicts)
+                assert signature.streams is None
                 assert signature.tolist() == [s for _, s in expected]
                 assert signature.tolist() == pairs.signature.tolist()
                 aliased += pairs.aliased_count()

@@ -532,13 +532,10 @@ def _wait_until(predicate, seconds=30.0):
     return False
 
 
-@pytest.mark.skipif(
-    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
-    or not hasattr(os, "killpg"),
-    reason="needs /proc child lists and process groups",
-)
-def test_interrupted_sharded_soak_exits_cleanly(tmp_path):
-    # A terminal Ctrl-C signals the whole process group, workers too.
+def _signal_sharded_soak(tmp_path, signum, group=True):
+    """Start a sharded, checkpointing ``repro soak``, send *signum* to
+    its whole process group (or to the parent alone) once the workers
+    run, and return ``(returncode, stderr, worker pids)``."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -562,16 +559,43 @@ def test_interrupted_sharded_soak_exits_cleanly(tmp_path):
         assert _wait_until(lambda: len(_children(proc.pid)) >= 2)
         workers = _children(proc.pid)
         time.sleep(0.3)  # let the workers pick up their leases
-        os.killpg(proc.pid, signal.SIGINT)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            os.kill(proc.pid, signum)
         _, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert proc.returncode == 130, err
-    assert err == "error: interrupted\n"
     assert _wait_until(
         lambda: not any(Path(f"/proc/{pid}").exists() for pid in workers),
         seconds=10.0,
     ), workers
     assert not list(tmp_path.glob("*.tmp"))
+    return proc.returncode, err
+
+
+_NEEDS_PROC = pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+    or not hasattr(os, "killpg"),
+    reason="needs /proc child lists and process groups",
+)
+
+
+@_NEEDS_PROC
+def test_interrupted_sharded_soak_exits_cleanly(tmp_path):
+    # A terminal Ctrl-C signals the whole process group, workers too.
+    returncode, err = _signal_sharded_soak(tmp_path, signal.SIGINT)
+    assert returncode == 130, err
+    assert err == "error: interrupted\n"
+
+
+@_NEEDS_PROC
+@pytest.mark.parametrize("group", [True, False], ids=["group", "parent"])
+def test_terminated_sharded_soak_exits_cleanly(tmp_path, group):
+    # SIGTERM from a service manager (whole group) or `kill PID`
+    # (parent only): one line, exit 143, no survivor, no *.tmp file.
+    returncode, err = _signal_sharded_soak(tmp_path, signal.SIGTERM, group)
+    assert returncode == 143, err
+    assert err == "error: terminated\n"
