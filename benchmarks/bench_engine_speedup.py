@@ -29,11 +29,11 @@ the Section 2 universe plus the RDF/DRDF/AF extension classes):
 * **megaword** — the packed class-kernel headline at ``>= 2^20``
   words: each single-cell class (SAF/TF/RDF/DRDF, millions of faults)
   is answered by one :meth:`detect_class` bitset pass over the
-  campaign context's packed planes, raced against the per-fault
-  dispatch rate measured on an evenly-strided fault sample through the
-  *same warm context* (whole-class per-fault dispatch is exactly what
-  the packed pass replaces — at this size it would take tens of
-  minutes).  Sampled verdicts are checked bit-identical between the
+  campaign context's packed planes, raced against the rate of
+  one-element calls of the list path on an evenly-strided fault sample
+  through the *same warm context* (whole-class per-fault calls are
+  exactly what the packed pass replaces — at this size they would
+  take tens of minutes).  Sampled verdicts are checked bit-identical between the
   two paths, and a few low-address detected faults are replayed
   through the stop-on-mismatch reference interpreter as ground truth.
 
@@ -43,9 +43,10 @@ Every leg carries the campaign-context cache columns
 per-worker cost — at most one build per distinct context per process —
 instead of a per-chunk one.
 
-The batch runs also instrument the engine's reference fallback to
-prove that no fault class of the standard universe is routed through
-the interpreter anymore (the AF fast path closed the last gap).
+The batch runs also instrument the engine's one reference fallback to
+prove that no fault class of the standard universe — streaming or
+materialized — is routed through the interpreter, and an ill-formed
+test proves the counter live (``fallback_counter_live``).
 
 Results are written as machine-readable JSON to ``BENCH_engine.json``
 at the repository root (the tracked perf trajectory) and mirrored to
@@ -76,12 +77,14 @@ from repro.analysis.coverage import (
     signature_flow,
 )
 from repro.analysis.reports import counter_rows, render_table
+from repro.core.notation import parse_march
 from repro.core.twm import twm_transform
 from repro.engine import (
     CampaignRunner,
     FaultPlan,
     RetryPolicy,
     compile_march,
+    get_engine,
 )
 from repro.engine import batch as batch_module
 from repro.library import catalog
@@ -97,42 +100,43 @@ MIRROR_OUT = pathlib.Path(__file__).parent / "out" / "engine_speedup.json"
 
 
 class _FallbackCounter:
-    """Counts (and forwards) the batch engine's reference fallbacks."""
+    """Counts (and forwards) the batch engine's reference fallbacks.
+
+    The engine has one way out of its lanes, ``_reference_verdicts``
+    (one call per compare or session batch it cannot answer: an
+    underivable program, an ill-formed test, an unknown fault kind),
+    so wrapping it counts every fallback of every oracle."""
 
     def __init__(self) -> None:
         self.calls = 0
-        self._compare = batch_module._CampaignContext._fallback
-        # The session context has one fallback, ``_fallback_pair``:
-        # both session oracles reach it through ``detect_pair``, so
-        # wrapping it counts each of their fallbacks exactly once.
-        self._signature = batch_module._SignatureContext._fallback_pair
+        self._fallback = batch_module._reference_verdicts
 
     def __enter__(self) -> "_FallbackCounter":
-        counter = self
+        def counting(oracle, *args, **kwargs):
+            self.calls += 1
+            return self._fallback(oracle, *args, **kwargs)
 
-        def compare(ctx, fault):
-            counter.calls += 1
-            return counter._compare(ctx, fault)
-
-        def signature(ctx, fault):
-            counter.calls += 1
-            return counter._signature(ctx, fault)
-
-        self._patches = [
-            mock.patch.object(
-                batch_module._CampaignContext, "_fallback", compare
-            ),
-            mock.patch.object(
-                batch_module._SignatureContext, "_fallback_pair", signature
-            ),
-        ]
-        for patch in self._patches:
-            patch.start()
+        self._patch = mock.patch.object(
+            batch_module, "_reference_verdicts", counting
+        )
+        self._patch.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        for patch in self._patches:
-            patch.stop()
+        self._patch.stop()
+
+
+def counter_is_live(width: int) -> bool:
+    """The fallback counter counts: an ill-formed test (reads before
+    initializing, so the fault-free baseline already mismatches) must
+    reach the reference engine through it."""
+    ill_formed = parse_march("⇕(r0);⇑(w1,r1)", name="ill-formed")
+    words = _initial_words(4, width, None, 1)
+    with _FallbackCounter() as fallbacks:
+        get_engine("batch").detect_class_batch(
+            ill_formed, 4, width, words, StuckAtClass(4, width)
+        )
+    return fallbacks.calls > 0
 
 
 def build_workload(args, n_words: int, *, streaming: bool = True):
@@ -242,7 +246,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scaled-words", type=int, default=128,
                         help="scaled workload size (batch paths only); the "
                         "AF class grows quadratically, so this is where "
-                        "per-fault subset work dominates and sharding pays")
+                        "the materialized lists are largest and sharding "
+                        "is measured")
     parser.add_argument("--max-inter-pairs", type=int, default=24)
     parser.add_argument("--misr-width", type=int, default=16)
     parser.add_argument("--narrow-misr-width", type=int, default=2,
@@ -262,8 +267,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--megaword-samples", type=int, default=64,
-        help="evenly-strided faults per class timed through the "
-        "per-fault dispatch path (the whole class would take tens of "
+        help="evenly-strided faults per class timed through one-element "
+        "calls of the list path (the whole class would take tens of "
         "minutes there — which is the point)",
     )
     parser.add_argument(
@@ -534,7 +539,7 @@ def main(argv=None) -> int:
             sample_idx = sample_idx[: args.megaword_samples]
             samples = [fault_class[i] for i in sample_idx]
             started = time.perf_counter()
-            per_verdicts = [ctx.detect(fault) for fault in samples]
+            per_verdicts = [ctx.detect_class([fault])[0] for fault in samples]
             per_seconds = max(time.perf_counter() - started, 1e-9)
             identical = per_verdicts == [packed[i] for i in sample_idx]
             sampled_identical &= identical
@@ -572,6 +577,8 @@ def main(argv=None) -> int:
         ok &= mega_ok
         payload["workloads"]["megaword"] = mega
 
+    counter_live = counter_is_live(args.width)
+    ok &= counter_live
     payload["checks"] = {
         "all_vectors_identical": ok,
         "af_fast_path": all(
@@ -579,6 +586,8 @@ def main(argv=None) -> int:
             for w in payload["workloads"].values()
             for m in w.get("modes", ())
         ),
+        # The counter behind the zeros above counts a real fallback.
+        "fallback_counter_live": counter_live,
         # The mixed run's aliasing campaign reused the session contexts
         # the signature campaign built (allowing one cold build per
         # worker the pool scheduler never handed a signature chunk).
@@ -600,7 +609,10 @@ def main(argv=None) -> int:
     MIRROR_OUT.write_text(text, encoding="utf-8")
     print(text, end="")
     if not ok:
-        print("ERROR: engines disagree on coverage or fallback detected")
+        print(
+            "ERROR: engines disagree on coverage, a fallback was detected "
+            "or the fallback counter counts nothing"
+        )
         return 1
     if not mixed_ok:
         print(

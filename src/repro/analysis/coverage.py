@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import KW_ONLY, dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ..bist.controller import TransparentBist
@@ -428,6 +429,20 @@ def _initial_words(
     return words
 
 
+class _ContextKey(tuple):
+    """A flow's context key, built once per flow and hashed once, so a
+    cache hit neither copies nor re-hashes the words; equal keys of two
+    flows still compare element by element."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 # Flows compare and hash by identity, like any callable; the value
 # identity that keys contexts and bindings is ``context_key()``.
 @dataclass(frozen=True, eq=False, repr=False)
@@ -466,14 +481,20 @@ class CompareFlow:
     def context_key(self) -> tuple:
         """Cache key of the amortizable campaign state (the engine is
         fixed per cache, completing the ``(test, geometry, words,
-        mode, engine)`` key of the context runtime)."""
-        return (
-            "compare",
-            self.test,
-            self.n_words,
-            self.width,
-            tuple(self.words),
-            self.derive_writes,
+        mode, engine)`` key of the context runtime), built once."""
+        return self._context_key
+
+    @cached_property
+    def _context_key(self) -> tuple:
+        return _ContextKey(
+            (
+                "compare",
+                self.test,
+                self.n_words,
+                self.width,
+                tuple(self.words),
+                self.derive_writes,
+            )
         )
 
     def build_context(self, engine: Engine) -> object:
@@ -565,16 +586,22 @@ class SignatureFlow:
         """Deliberately shared with :class:`AliasingFlow`: both oracles
         read the same two-phase session state, so signature- and
         aliasing-mode campaigns of the same session reuse one cached
-        context."""
-        return (
-            "session",
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            tuple(self.words),
-            self.misr_width,
-            self.misr_seed,
+        context.  Built once, like :meth:`CompareFlow.context_key`."""
+        return self._context_key
+
+    @cached_property
+    def _context_key(self) -> tuple:
+        return _ContextKey(
+            (
+                "session",
+                self.test,
+                self.prediction,
+                self.n_words,
+                self.width,
+                tuple(self.words),
+                self.misr_width,
+                self.misr_seed,
+            )
         )
 
     def build_context(self, engine: Engine) -> object:

@@ -35,10 +35,10 @@ Per fault class (compare oracle / two-phase session oracles):
     one packed pass per (aggressor bit, variant) with every word as a
     lane and every other bit of the word a victim, in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` inter-word
-    same-bit classes: one *pair-lane* pass in both oracles — every
-    fault gets its own lane holding its aggressor and victim words,
-    visited in address order.  Cross-bit classes: exact two-word subset
-    simulation, O(op_count) per fault instead of O(op_count x n_words).
+    one *pair-lane* pass in both oracles — every fault gets its own
+    lane holding its aggressor and victim words, visited in address
+    order.  A pass takes pairs of one bit offset (victim bit minus
+    aggressor bit), so a same-bit class is one pass.
 ``AF``
     the decoder fault's support is the addressed word plus its aliased
     partner: accesses to the faulty address are lost, redirected or
@@ -48,16 +48,20 @@ Per fault class (compare oracle / two-phase session oracles):
     over the expected values of the reads), AF-other/AF-multi one
     pair-lane pass over (faulty word, other word) lanes, in both
     oracles.
-anything unrecognised
-    full-fidelity fallback through the reference interpreter.
 
-The packed class kernels apply to streaming
-:class:`~repro.memory.injection.FaultClass` descriptors at the
+Every fault sequence goes through those lanes.  A streaming
+:class:`~repro.memory.injection.FaultClass` descriptor at the
 campaign's geometry (compare SAF classes may also be narrower, and AF
-classes only need the campaign's ``n_words``) over a clean fault-free
-stream; materialized lists, mismatched geometry, cross-bit inter-word
-classes and ill-formed tests stream through the per-fault dispatch
-instead.
+classes only need the campaign's ``n_words``) takes its class kernel
+whole.  Anything else — materialized lists, chunk slices, classes of
+another geometry, cross-bit inter-word classes, single faults — is
+grouped by lane shape: single-cell and intra-word faults are bit
+lookups in their class's verdicts at the campaign's geometry, AF and
+inter-word CF faults take pair lanes built from the sequence.  The
+reference interpreter is the one fallback, for underivable programs,
+ill-formed tests (a fault-free run that already mismatches) and fault
+kinds no lane pass models (user-defined ones, AF-none floating to a
+non-zero word).
 
 The *signature* oracle (two-phase transparent BIST, MISR compare) rests
 on the MISR's GF(2) linearity: the fault-free read streams of both
@@ -71,12 +75,9 @@ with ``err`` the read's packed difference from the fault-free raw
 plane), and the test-phase leg ORs the compare-style mismatch against
 the session snapshot, which is the alias-free stream verdict of
 :meth:`BatchEngine.detect_aliasing_batch`.  The signature verdict is
-the pair's second half.  AF and same-bit inter-word CF classes run the
+the pair's second half.  AF and inter-word CF faults run the
 compare kernels' pair lanes through both phases, each read's
 fault-free raw and weight values gathered into every lane's two words.
-Every other fault pays one O(op_count) subset replay over its own
-words, whose test-phase leg yields the stream verdict next to the
-signature verdict at no extra pass.
 
 Single executions (:meth:`BatchEngine.run`) use the reference
 interpreter unchanged: the batch acceleration is campaign-level.
@@ -109,13 +110,14 @@ from ..memory.injection import (
 )
 from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
 from .program import MarchProgram, pack_words, replicate_mask
-from .reference import execute_program
+from .reference import ReferenceEngine, execute_program
 from .verdicts import PlaneVerdicts
 
 # Streaming classes whose faults never leave one word, so the packed
 # session kernels simulate every fault of the class in word lanes (AF
 # and same-bit inter-word CF classes take pair lanes instead).
 _LANE_CLASSES = (StuckAtClass, TransitionClass, ReadDisturbClass, IntraWordCFClass)
+_CF_TYPES = (StateCouplingFault, IdempotentCouplingFault, InversionCouplingFault)
 
 
 class BatchEngine(Engine):
@@ -180,13 +182,9 @@ class BatchEngine(Engine):
         signature gap and mismatch set.  One context serves both the
         signature and the pair-verdict aliasing oracle.  ``None`` for
         underivable programs (per-fault interpreter path)."""
-        test_program = self._program(test, width)
-        prediction_program = self._program(prediction, width)
-        if not (test_program.derivable and prediction_program.derivable):
-            return None
-        return _SignatureContext(
-            prediction_program, test_program, n_words, words,
-            misr_width, misr_seed,
+        return self._session_context(
+            test, prediction, n_words, width, words, misr_width, misr_seed,
+            None,
         )
 
     @staticmethod
@@ -231,29 +229,10 @@ class BatchEngine(Engine):
         derive_writes: bool = True,
         context: "_CampaignContext | None" = None,
     ) -> list[bool]:
-        program = self._program(test, width)
-        if derive_writes and not program.derivable:
-            # An underivable program may still detect (or raise) fault
-            # by fault, depending on whether a mismatch stops the run
-            # before the first underivable write executes; only the
-            # interpreter reproduces that exactly.
-            return super().detect_batch(
-                program, n_words, width, words, faults,
-                derive_writes=derive_writes,
-            )
-        if context is None:
-            ctx = _CampaignContext(program, n_words, words, derive_writes)
-        else:
-            self._check_context(
-                context, _CampaignContext, program, n_words, words
-            )
-            if context.derive != derive_writes:
-                raise ExecutionError(
-                    "prebuilt campaign context was built for the other "
-                    "derived-write datapath"
-                )
-            ctx = context
-        return [ctx.detect(fault) for fault in faults]
+        return self.detect_class_batch(
+            test, n_words, width, words, faults,
+            derive_writes=derive_writes, context=context,
+        ).tolist()
 
     def detect_class_batch(
         self,
@@ -266,38 +245,41 @@ class BatchEngine(Engine):
         derive_writes: bool = True,
         context: "_CampaignContext | None" = None,
     ) -> PlaneVerdicts:
-        """Compare-oracle verdicts of a whole fault class in packed
-        one-pass kernels.
-
-        When *faults* is a streaming
-        :class:`~repro.memory.injection.FaultClass` descriptor and the
-        program is derivable, the verdict bitset comes straight off the
-        campaign context's packed planes — no per-fault ``Fault``
-        objects, no per-fault dispatch.  Anything else (materialized
-        lists, underivable programs) takes the per-fault path and is
-        packed on the way out.
-        """
+        """Compare-oracle verdicts of any fault sequence through the
+        lanes (:meth:`_CampaignContext.detect_class`): a streaming
+        :class:`~repro.memory.injection.FaultClass` at the campaign's
+        geometry in one class kernel, anything else (lists, chunk
+        slices, other geometries, single faults) in one lane pass per
+        group of faults.  Underivable programs, ill-formed tests and
+        unknown fault kinds take the reference engine."""
         program = self._program(test, width)
-        if not isinstance(faults, FaultClass) or (
-            derive_writes and not program.derivable
-        ):
-            return super().detect_class_batch(
-                program, n_words, width, words, faults,
-                derive_writes=derive_writes, context=context,
-            )
-        if context is None:
-            ctx = _CampaignContext(program, n_words, words, derive_writes)
-        else:
-            self._check_context(
-                context, _CampaignContext, program, n_words, words
-            )
-            if context.derive != derive_writes:
-                raise ExecutionError(
-                    "prebuilt campaign context was built for the other "
-                    "derived-write datapath"
+        verdicts = None
+        # An underivable program may still detect (or raise) fault by
+        # fault, depending on whether a mismatch stops the run before
+        # the first underivable write executes; only the interpreter
+        # reproduces that exactly.
+        if program.derivable or not derive_writes:
+            if context is None:
+                ctx = _CampaignContext(program, n_words, words, derive_writes)
+            else:
+                self._check_context(
+                    context, _CampaignContext, program, n_words, words
                 )
-            ctx = context
-        return ctx.detect_class(faults)
+                if context.derive != derive_writes:
+                    raise ExecutionError(
+                        "prebuilt campaign context was built for the other "
+                        "derived-write datapath"
+                    )
+                ctx = context
+            verdicts = ctx.detect_class(faults)
+        if verdicts is None:
+            verdicts = PlaneVerdicts.from_bools(
+                _reference_verdicts(
+                    "detect_batch", program, n_words, width, words, faults,
+                    derive_writes=derive_writes,
+                )
+            )
+        return verdicts
 
     def detect_aliasing_batch(
         self,
@@ -312,19 +294,10 @@ class BatchEngine(Engine):
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
     ) -> list[tuple[bool, bool]]:
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            # The per-fault reference path raises ExecutionError at the
-            # first underivable write; only it reproduces that exactly.
-            return super().detect_aliasing_batch(
-                self._program(test, width), self._program(prediction, width),
-                n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return [ctx.detect_pair(fault) for fault in faults]
+        return self.detect_class_aliasing_batch(
+            test, prediction, n_words, width, words, faults,
+            misr_width=misr_width, misr_seed=misr_seed, context=context,
+        ).tolist()
 
     def detect_class_signature_batch(
         self,
@@ -339,19 +312,12 @@ class BatchEngine(Engine):
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
     ) -> PlaneVerdicts:
-        """Signature verdicts of a whole fault class: the signature half
-        of the packed session kernel (:meth:`_SignatureContext.detect_class`)
-        where it applies, the per-fault path otherwise."""
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is not None and ctx.has_class_kernel(faults):
-            return ctx.detect_class(faults).signature
-        return super().detect_class_signature_batch(
+        """Signature verdicts: the signature half of
+        :meth:`detect_class_aliasing_batch`."""
+        return self.detect_class_aliasing_batch(
             test, prediction, n_words, width, words, faults,
-            misr_width=misr_width, misr_seed=misr_seed, context=ctx,
-        )
+            misr_width=misr_width, misr_seed=misr_seed, context=context,
+        ).signature
 
     def detect_class_aliasing_batch(
         self,
@@ -366,21 +332,26 @@ class BatchEngine(Engine):
         misr_seed: int = 0,
         context: "_SignatureContext | None" = None,
     ) -> PlaneVerdicts:
-        """Pair verdicts of a whole fault class: the streaming classes
-        :meth:`_SignatureContext.has_class_kernel` accepts take the
-        packed session kernels; anything else (materialized lists,
-        cross-bit inter-word CF, mismatched geometry, ill-formed or
-        underivable programs) takes the per-fault path."""
+        """Pair verdicts of any fault sequence through the session lanes
+        (:meth:`_SignatureContext.detect_class`).  Underivable programs
+        (whose sessions raise at the first underivable write), ill-formed
+        tests and unknown fault kinds take the reference engine."""
         ctx = self._session_context(
             test, prediction, n_words, width, words, misr_width, misr_seed,
             context,
         )
-        if ctx is not None and ctx.has_class_kernel(faults):
-            return ctx.detect_class(faults)
-        return super().detect_class_aliasing_batch(
-            test, prediction, n_words, width, words, faults,
-            misr_width=misr_width, misr_seed=misr_seed, context=ctx,
-        )
+        verdicts = None if ctx is None else ctx.detect_class(faults)
+        if verdicts is None:
+            verdicts = PlaneVerdicts.from_pairs(
+                _reference_verdicts(
+                    "detect_aliasing_batch",
+                    self._program(test, width),
+                    self._program(prediction, width),
+                    n_words, width, words, faults,
+                    misr_width=misr_width, misr_seed=misr_seed,
+                )
+            )
+        return verdicts
 
     def _session_context(
         self, test, prediction, n_words, width, words, misr_width, misr_seed,
@@ -446,7 +417,7 @@ class _WordLanes:
             self._lane_cache[bit] = lane
         return lane
 
-    def _coupling_rules(self, cf_kind: str, variant: int, a_bit: int):
+    def _cf_rules(self, cf_kind: str, variant: int, a_bit: int):
         """``(load, store)`` of an intra-word coupling fault (*cf_kind*
         parameter *variant*) from aggressor bit *a_bit* onto every other
         bit of every word lane: ``load(state)`` is the loaded content
@@ -511,6 +482,44 @@ class _WordLanes:
             )
         return ones
 
+    def _fault_list(self, faults: Sequence[Fault]) -> "list | None":
+        """Verdicts of any fault sequence, in order, from one lane pass
+        per group of :func:`_lane_groups`: single-cell and intra-word
+        faults are bit lookups in their whole class's verdicts at this
+        geometry (:meth:`_lookup`), AF-none faults in the AF-none word
+        lanes, and AF-other/AF-multi and inter-word CF faults take pair
+        lanes built from the sequence itself (or, when a list holds
+        much of the AF class, lookups in its verdicts).  ``None`` when
+        a fault has no lane semantics."""
+        n = self.n_words
+        groups = _lane_groups(faults, n, self.width)
+        if groups is None:
+            return None
+        out = [None] * len(faults)
+        for group, (positions, items) in groups.items():
+            if isinstance(group, FaultClass):
+                verdicts = self._lookup(group)
+            elif group == "AF-none":
+                verdicts = self._af_none()
+            elif group[0] == "AF" and 2 * n * (n - 1) <= 16 * len(items):
+                # A list holding at least 1/16 of the class's pair
+                # faults (a chunk of a materialized universe) looks them
+                # up in the class's lanes, computed once per context:
+                # list lanes gather their words lane by lane at every
+                # session read, which costs more per fault.
+                verdicts = self._lookup(AddressFaultClass(n, wired_or=group[1]))
+                items = [_af_index(fault, n) for fault in items]
+            elif group[0] == "AF":
+                lanes = _af_list_lanes(items, self._packed, self.width, group[1])
+                verdicts = self._af_pairs(lanes)
+                items = range(len(items))
+            else:
+                verdicts = self._inter_cf(group[1], items, (group[3],))
+                items = range(len(items))
+            for i, verdict in zip(positions, verdicts.select(items)):
+                out[i] = verdict
+        return out
+
 
 class _CampaignContext(_WordLanes):
     """Shared per-(program, content) state of one campaign slice.
@@ -530,103 +539,82 @@ class _CampaignContext(_WordLanes):
         self.program = program
         self.derive = derive_writes
         self._rep: list[list[int]] | None = None
-        self._baseline: int | None = None
+        self._planes: dict[tuple, int] = {}
         self._saf: tuple[int, int] | None = None
-        self._tf: dict[bool, int] = {}
-        self._rdf: dict[bool, int] = {}
+        self._lookups: dict[FaultClass, PlaneVerdicts] = {}
 
-    # -- dispatch ------------------------------------------------------
-    def detect(self, fault: Fault) -> bool:
-        fault.validate(self.n_words, self.width)
-        if isinstance(fault, StuckAtFault):
-            plane = self._saf_planes()[fault.value]
-            if (plane >> fault.cell.bit) & 1:
-                return True
-            return self._baseline_outside_cell(fault.cell)
-        if isinstance(fault, TransitionFault):
-            plane = self._tf_plane(fault.rising)
-            if (plane >> self._pos(fault.cell)) & 1:
-                return True
-            return self._baseline_outside_cell(fault.cell)
-        if isinstance(fault, ReadDisturbFault):
-            plane = self._rdf_plane(fault.deceptive)
-            if (plane >> self._pos(fault.cell)) & 1:
-                return True
-            return self._baseline_outside_cell(fault.cell)
-        if isinstance(fault, CouplingFault):
-            if self._coupling(fault):
-                return True
-            return self._baseline_outside_addrs(
-                {fault.aggressor.addr, fault.victim.addr}
-            )
-        if isinstance(fault, AddressDecoderFault):
-            support = _SubsetSim.support(fault)
-            if self._subset_detect(fault, support):
-                return True
-            return self._baseline_outside_addrs(support)
-        return self._fallback(fault)
+    def detect_class(self, faults: Sequence[Fault]) -> PlaneVerdicts | None:
+        """Verdicts of any fault sequence through the lanes.
 
-    def _pos(self, cell) -> int:
-        return cell.addr * self.width + cell.bit
-
-    # -- class-level dispatch ------------------------------------------
-    def detect_class(self, fault_class: FaultClass) -> PlaneVerdicts:
-        """Packed verdict bitset of one whole fault class.
-
-        The class kernels apply when the class geometry matches this
-        campaign (for AF classes, whose width is always 1, only
-        ``n_words``) and the fault-free baseline is clean (always, for
-        well-formed tests): lane-per-cell passes for single-cell and
-        intra-word classes, pair-lane passes for AF and same-bit
-        inter-word CF classes.  Everything else — cross-bit inter-word
-        CF classes, mismatched geometry, ill-formed tests — streams
-        through the exact per-fault dispatch one fault at a time, so no
-        path ever materializes the class as a list.
+        A streaming class at this campaign's geometry (for AF classes,
+        whose width is always 1, only ``n_words``; SAF classes may also
+        be narrower) takes its class kernel: lane-per-cell passes for
+        single-cell and intra-word classes, pair-lane passes for AF and
+        same-bit inter-word CF classes.  Anything else goes through
+        :meth:`_fault_list`.  ``None`` when the lanes cannot answer
+        exactly: the fault-free baseline already mismatches (an
+        ill-formed test), or a fault has no lane semantics.
         """
+        if self._plane(None, False):
+            return None
+        if isinstance(faults, FaultClass):
+            verdicts = self._kernel(faults)
+            if verdicts is not None:
+                return verdicts
+        out = self._fault_list(faults)
+        return None if out is None else PlaneVerdicts.from_bools(out)
+
+    def _kernel(self, fault_class: FaultClass) -> PlaneVerdicts | None:
+        """The class kernel answering *fault_class* whole, or ``None``
+        when its geometry has none."""
         n, w = self.n_words, self.width
         exact = fault_class.n_words == n and fault_class.width == w
-        if self._baseline_plane() == 0:
-            if (
-                isinstance(fault_class, StuckAtClass)
-                and fault_class.n_words == n
-                and fault_class.width <= w
-            ):
-                # The SAF verdict is address- and content-independent
-                # (see _saf_planes), so a narrower class just replicates
-                # the truncated accumulators at its own lane width.
-                cw = fault_class.width
-                saf0, saf1 = self._saf_planes()
-                cmask = (1 << cw) - 1
-                return PlaneVerdicts(
-                    len(fault_class),
-                    (
-                        replicate_mask(saf0 & cmask, n, cw),
-                        replicate_mask(saf1 & cmask, n, cw),
-                    ),
-                )
-            if exact and isinstance(fault_class, TransitionClass):
-                return PlaneVerdicts(
-                    len(fault_class),
-                    (self._tf_plane(True), self._tf_plane(False)),
-                )
-            if exact and isinstance(fault_class, ReadDisturbClass):
-                return PlaneVerdicts(
-                    len(fault_class),
-                    (self._rdf_plane(fault_class.deceptive),),
-                )
-            if exact and isinstance(fault_class, IntraWordCFClass) and w > 1:
-                return self._intra_cf_class(fault_class)
-            if isinstance(fault_class, AddressFaultClass) and fault_class.n_words == n:
-                return self._af_class(fault_class)
-            if (
-                exact
-                and isinstance(fault_class, InterWordCFClass)
-                and fault_class.same_bit_only
-            ):
-                return self._inter_cf_class(fault_class)
-        return PlaneVerdicts.from_bools(
-            self.detect(fault) for fault in fault_class
-        )
+        if (
+            isinstance(fault_class, StuckAtClass)
+            and fault_class.n_words == n
+            and fault_class.width <= w
+        ):
+            # The SAF verdict is address- and content-independent (see
+            # _saf_planes), so a narrower class just replicates the
+            # truncated accumulators at its own lane width.
+            cw = fault_class.width
+            saf0, saf1 = self._saf_planes()
+            cmask = (1 << cw) - 1
+            return PlaneVerdicts(
+                len(fault_class),
+                (
+                    replicate_mask(saf0 & cmask, n, cw),
+                    replicate_mask(saf1 & cmask, n, cw),
+                ),
+            )
+        if exact and isinstance(fault_class, TransitionClass):
+            return PlaneVerdicts(
+                len(fault_class),
+                (self._plane("TF", True), self._plane("TF", False)),
+            )
+        if exact and isinstance(fault_class, ReadDisturbClass):
+            return PlaneVerdicts(
+                len(fault_class), (self._plane("RDF", fault_class.deceptive),)
+            )
+        if exact and isinstance(fault_class, IntraWordCFClass) and w > 1:
+            return self._intra_cf_class(fault_class)
+        if isinstance(fault_class, AddressFaultClass) and fault_class.n_words == n:
+            return self._af_class(fault_class)
+        if (
+            exact
+            and isinstance(fault_class, InterWordCFClass)
+            and fault_class.same_bit_only
+        ):
+            return self._inter_cf_class(fault_class)
+        return None
+
+    def _lookup(self, fault_class: FaultClass) -> PlaneVerdicts:
+        """Class-kernel verdicts of an exact-geometry class, cached for
+        the bit lookups of :meth:`_fault_list`."""
+        verdicts = self._lookups.get(fault_class)
+        if verdicts is None:
+            verdicts = self._lookups[fault_class] = self._kernel(fault_class)
+        return verdicts
 
     def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PlaneVerdicts:
         """All intra-word coupling faults of one kind: ``width *
@@ -645,14 +633,21 @@ class _CampaignContext(_WordLanes):
         )
 
     def _af_class(self, fault_class: AddressFaultClass) -> PlaneVerdicts:
-        """All address-decoder faults of the class in two passes.
+        """All address-decoder faults of the class: the AF-none word
+        lanes (the first ``n`` faults), then one pair lane per AF-other
+        and AF-multi fault (:func:`_af_lanes`)."""
+        n, w = self.n_words, self.width
+        verdicts = self._af_none().planes[0]
+        if n > 1:
+            lanes = _af_lanes(self._packed, n, w, fault_class.wired_or)
+            verdicts |= self._pair_lane_run(lanes).planes[0] << (n * w)
+        return PlaneVerdicts(len(fault_class), (verdicts,), slot_stride=w)
 
-        AF-none (the first ``n`` faults, one word lane each) keeps no
+    def _af_none(self) -> PlaneVerdicts:
+        """AF-none at every address, one word lane each.  It keeps no
         state: a read of the dead address returns the floating value 0,
         so the lane is detected iff some read there expects a non-zero
-        word.  AF-other and AF-multi take one pair lane each
-        (:func:`_af_lanes`)."""
-        n, w = self.n_words, self.width
+        word."""
         none = 0
         for element, rep_masks in zip(self.program.elements, self._replicated()):
             for (is_read, relative, _mask, _ok), mrep in zip(
@@ -660,39 +655,43 @@ class _CampaignContext(_WordLanes):
             ):
                 if is_read:
                     none |= (self._packed ^ mrep) if relative else mrep
-        verdicts = self._lane_any(none, n)
-        if n > 1:
-            lanes = _af_lanes(
-                self.words, w, self.program.word_mask, fault_class.wired_or
-            )
-            det = self._pair_lane_run(lanes)
-            verdicts |= self._lane_any(det, lanes.n_lanes) << (n * w)
-        return PlaneVerdicts(len(fault_class), (verdicts,), slot_stride=w)
-
-    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
-        """All same-bit inter-word coupling faults of one kind in one
-        pair-lane pass (:func:`_inter_cf_lanes`)."""
-        if not len(fault_class):
-            return PlaneVerdicts(0, (0,))
-        lanes = _inter_cf_lanes(
-            fault_class, self.words, self.width, self.program.word_mask
-        )
-        det = self._pair_lane_run(lanes)
         return PlaneVerdicts(
-            len(fault_class),
-            (self._lane_any(det, lanes.n_lanes),),
+            self.n_words, (self._lane_any(none, self.n_words),),
             slot_stride=self.width,
         )
 
-    def _pair_lane_run(self, lanes: _PairLanes) -> int:
+    def _af_pairs(self, lanes: _PairLanes) -> PlaneVerdicts:
+        """AF-other/AF-multi pair lanes in one pass."""
+        return self._pair_lane_run(lanes)
+
+    def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
+        """All same-bit inter-word coupling faults of one kind in one
+        pair-lane pass, lane ``pair_pos * variants + variant``."""
+        if not len(fault_class):
+            return PlaneVerdicts(0, (0,))
+        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
+        return self._inter_cf(fault_class.cf_kind, cells, range(fault_class.variants))
+
+    def _inter_cf(
+        self, cf_kind: str, cells: Sequence, variants: Sequence[int]
+    ) -> PlaneVerdicts:
+        """Every (cell pair, variant) of *cf_kind* as a pair lane
+        (:func:`_inter_cf_lanes`), all pairs with one bit offset."""
+        return self._pair_lane_run(
+            _inter_cf_lanes(
+                cf_kind, cells, variants, self.words, self.width,
+                self.program.word_mask,
+            )
+        )
+
+    def _pair_lane_run(self, lanes: _PairLanes) -> PlaneVerdicts:
         """One pass over the program in which every *w*-bit lane
         replays one two-word fault (:class:`_PairLanes`).
 
         Each element visits a lane's two words in address order (lo
-        then hi ascending, hi then lo descending), as
-        :meth:`_subset_detect` does.  The step semantics are the subset
-        replay's, and the returned plane accumulates every read's
-        mismatch (the lane OR is the verdict; detection is monotone)."""
+        then hi ascending, hi then lo descending), as the interpreter
+        does, accumulating every read's mismatch; a lane's verdict is
+        their OR (detection is monotone), at the lane's bit 0."""
         fetch, store, lower = lanes.fetch, lanes.store, lanes.lower
         snap_a, snap_b = lanes.snap_a, lanes.snap_b
         upper = ((1 << (lanes.n_lanes * self.width)) - 1) ^ lower
@@ -721,27 +720,11 @@ class _CampaignContext(_WordLanes):
                         else:
                             value = mrep
                         store(sel, value)
-        return det
-
-    # -- fault-free baseline -------------------------------------------
-    def _baseline_plane(self) -> int:
-        """Packed mismatch plane of the fault-free run: bit
-        ``addr*width + bit`` is set iff the fault-free execution already
-        disagrees with the snapshot-derived expected value there.  Zero
-        for every well-formed march test; non-zero planes keep
-        ill-formed tests bit-identical with the interpreter."""
-        if self._baseline is None:
-            self._baseline = self._packed_run(None, False)
-        return self._baseline
-
-    def _baseline_outside_cell(self, cell) -> bool:
-        return bool(self._baseline_plane() & ~(1 << self._pos(cell)))
-
-    def _baseline_outside_addrs(self, addrs) -> bool:
-        outside = self._baseline_plane()
-        for addr in addrs:
-            outside &= ~(self.program.word_mask << (addr * self.width))
-        return bool(outside)
+        return PlaneVerdicts(
+            lanes.n_lanes,
+            (self._lane_any(det, lanes.n_lanes),),
+            slot_stride=self.width,
+        )
 
     # -- packed bit-plane passes ---------------------------------------
     def _replicated(self) -> list[list[int]]:
@@ -758,7 +741,7 @@ class _CampaignContext(_WordLanes):
         every column (``variant`` = deceptive), ``"CFst"``/``"CFid"``/
         ``"CFin"`` the coupling fault (parameter ``variant``) from bit
         *a_bit* of every word onto each other bit of the word
-        (:meth:`_coupling_rules`), with :meth:`_coupling`'s semantics.
+        (:meth:`_cf_rules`).
         Returns the accumulated mismatch plane for the hypothesised
         cell itself; it keeps accumulating after a first mismatch, which
         is harmless because detection is monotone.
@@ -771,7 +754,7 @@ class _CampaignContext(_WordLanes):
         is_rdf = kind == "RDF"
         is_cf = kind in ("CFst", "CFid", "CFin")
         if is_cf:
-            load, store = self._coupling_rules(kind, variant, a_bit)
+            load, store = self._cf_rules(kind, variant, a_bit)
             snap = load(snap)  # loaded content expresses the defect
         state = snap
         for element, rep_masks in zip(self.program.elements, self._replicated()):
@@ -803,15 +786,15 @@ class _CampaignContext(_WordLanes):
                         state = value
         return det
 
-    def _tf_plane(self, rising: bool) -> int:
-        if rising not in self._tf:
-            self._tf[rising] = self._packed_run("TF", rising)
-        return self._tf[rising]
-
-    def _rdf_plane(self, deceptive: bool) -> int:
-        if deceptive not in self._rdf:
-            self._rdf[deceptive] = self._packed_run("RDF", deceptive)
-        return self._rdf[deceptive]
+    def _plane(self, kind: str | None, variant) -> int:
+        """:meth:`_packed_run` of a single-cell hypothesis (``None``:
+        the fault-free baseline, whose mismatch plane is zero for every
+        well-formed march test), computed once."""
+        key = (kind, variant)
+        plane = self._planes.get(key)
+        if plane is None:
+            plane = self._planes[key] = self._packed_run(kind, variant)
+        return plane
 
     def _saf_planes(self) -> tuple[int, int]:
         """``(detects_saf0, detects_saf1)`` width-bit accumulators.
@@ -838,260 +821,6 @@ class _CampaignContext(_WordLanes):
             self._saf = (det0, det1)
         return self._saf
 
-    # -- coupling-fault subset simulation ------------------------------
-    def _coupling(self, fault: CouplingFault) -> bool:
-        """Exact simulation restricted to the aggressor/victim words,
-        mirroring ``FaultyMemory`` semantics: continuous CFst forcing
-        re-established after every store, CFid/CFin triggered by
-        aggressor transitions of stores to the aggressor's word."""
-        aggr, vict = fault.aggressor, fault.victim
-        addrs = sorted({aggr.addr, vict.addr})
-        w = {a: self.words[a] for a in addrs}
-        v_clear = ~(1 << vict.bit)
-        v_set = 1 << vict.bit
-        is_cfst = isinstance(fault, StateCouplingFault)
-        is_cfid = isinstance(fault, IdempotentCouplingFault)
-        is_cfin = isinstance(fault, InversionCouplingFault)
-
-        def enforce() -> None:
-            if is_cfst and ((w[aggr.addr] >> aggr.bit) & 1) == fault.aggressor_value:
-                w[vict.addr] = (w[vict.addr] & v_clear) | (
-                    fault.forced_value << vict.bit
-                )
-
-        enforce()  # the loaded content already expresses the defect
-        snap = dict(w)
-        derive = self.derive
-        descending_addrs = addrs[::-1]
-
-        for element in self.program.elements:
-            ordered = descending_addrs if element.descending else addrs
-            for addr in ordered:
-                last_raw = 0
-                last_mask = 0
-                snap_word = snap[addr]
-                for is_read, relative, mask, _ok in element.steps:
-                    if is_read:
-                        raw = w[addr]
-                        if raw != ((snap_word ^ mask) if relative else mask):
-                            return True
-                        last_raw, last_mask = raw, mask
-                    else:
-                        if relative and derive:
-                            value = last_raw ^ last_mask ^ mask
-                        elif relative:
-                            value = snap_word ^ mask
-                        else:
-                            value = mask
-                        old = w[addr]
-                        w[addr] = value
-                        if (is_cfid or is_cfin) and addr == aggr.addr:
-                            a_old = (old >> aggr.bit) & 1
-                            a_new = (value >> aggr.bit) & 1
-                            if a_old != a_new and (a_new == 1) == fault.rising:
-                                if is_cfid:
-                                    w[vict.addr] = (w[vict.addr] & v_clear) | (
-                                        fault.forced_value << vict.bit
-                                    )
-                                else:
-                                    w[vict.addr] ^= v_set
-                        enforce()
-        return False
-
-    # -- generic subset simulation (AF fast path) ----------------------
-    def _subset_detect(self, fault: Fault, addrs: tuple[int, ...]) -> bool:
-        """Exact replay of the program restricted to the fault's support
-        words through :class:`_SubsetSim`, with the compare oracle's
-        stop-at-first-mismatch verdict."""
-        sim = _SubsetSim(fault, {a: self.words[a] for a in addrs}, self.width)
-        snap = dict(sim.words)  # post static enforcement == run snapshot
-        derive = self.derive
-        ascending = sorted(addrs)
-        descending = ascending[::-1]
-        fetch = sim.fetch
-        store = sim.store
-        for element in self.program.elements:
-            ordered = descending if element.descending else ascending
-            steps = element.steps
-            for addr in ordered:
-                last_raw = 0
-                last_mask = 0
-                snap_word = snap[addr]
-                for is_read, relative, mask, _ok in steps:
-                    if is_read:
-                        raw = fetch(addr)
-                        if raw != ((snap_word ^ mask) if relative else mask):
-                            return True
-                        last_raw, last_mask = raw, mask
-                    else:
-                        if relative and derive:
-                            value = last_raw ^ last_mask ^ mask
-                        elif relative:
-                            value = snap_word ^ mask
-                        else:
-                            value = mask
-                        store(addr, value)
-        return False
-
-    # -- fallback ------------------------------------------------------
-    def _fallback(self, fault: Fault) -> bool:
-        """Full-fidelity interpretation for fault kinds without a fast
-        path (user-defined models)."""
-        from ..memory.injection import FaultyMemory
-
-        memory = FaultyMemory(self.n_words, self.width, [fault])
-        memory.load(self.words)
-        return execute_program(
-            self.program,
-            memory,
-            stop_on_mismatch=True,
-            derive_writes=self.derive,
-        ).detected
-
-
-# ---------------------------------------------------------------------------
-# Subset simulation: FaultyMemory semantics restricted to a fault's support
-# ---------------------------------------------------------------------------
-
-
-class _SubsetSim:
-    """Mirror of :class:`~repro.memory.injection.FaultyMemory` for one
-    classic fault, restricted to the word addresses the fault can
-    influence (its *support*).
-
-    Every classic fault model is word-confined: stuck-at, transition and
-    read-disturb faults live in one word, coupling faults in at most
-    two, and an address-decoder fault only ever loses, redirects or
-    wires accesses between its own address and its aliased partner.
-    Accesses to any other word behave exactly like the fault-free
-    baseline, so replaying the program on just the support words is an
-    exact simulation at O(op_count) instead of O(op_count x n_words).
-    """
-
-    __slots__ = (
-        "words", "mask",
-        "saf", "tf", "rdf", "cfst", "cfid", "cfin", "af",
-    )
-
-    def __init__(self, fault: Fault, words: dict[int, int], width: int) -> None:
-        self.words = words
-        self.mask = (1 << width) - 1
-        self.saf = fault if isinstance(fault, StuckAtFault) else None
-        self.tf = fault if isinstance(fault, TransitionFault) else None
-        self.rdf = fault if isinstance(fault, ReadDisturbFault) else None
-        self.cfst = fault if isinstance(fault, StateCouplingFault) else None
-        self.cfid = fault if isinstance(fault, IdempotentCouplingFault) else None
-        self.cfin = fault if isinstance(fault, InversionCouplingFault) else None
-        self.af = fault if isinstance(fault, AddressDecoderFault) else None
-        if not (self.saf or self.tf or self.rdf or self.cfst or self.cfid
-                or self.cfin or self.af):
-            raise ExecutionError(
-                f"no subset semantics for fault kind {fault.kind!r}"
-            )
-        self._enforce()  # loaded content already expresses the defect
-
-    @staticmethod
-    def support(fault: Fault) -> "tuple[int, ...] | None":
-        """Sorted word addresses the fault can influence, or ``None``
-        when the fault kind has no subset semantics (user-defined
-        models must take the full-fidelity fallback)."""
-        if isinstance(fault, AddressDecoderFault):
-            addrs = {fault.addr}
-            if fault.other_addr is not None:
-                addrs.add(fault.other_addr)
-            return tuple(sorted(addrs))
-        if isinstance(
-            fault,
-            (StuckAtFault, TransitionFault, ReadDisturbFault, CouplingFault),
-        ):
-            return tuple(sorted({cell.addr for cell in fault.cells}))
-        return None
-
-    # -- storage semantics (mirrors FaultyMemory._fetch/_store) --------
-    def fetch(self, addr: int) -> int:
-        af = self.af
-        if af is not None:
-            if af.addr != addr:
-                return self.words[addr]
-            code = af.kind_code
-            if code == "none":
-                return af.float_value & self.mask
-            if code == "other":
-                return self.words[af.other_addr]
-            a = self.words[addr]
-            b = self.words[af.other_addr]
-            return (a | b) if af.wired_or else (a & b)
-        rdf = self.rdf
-        if rdf is not None and rdf.cell.addr == addr:
-            value = self.words[addr]
-            flip = 1 << rdf.cell.bit
-            self.words[addr] = value ^ flip
-            return value if rdf.deceptive else value ^ flip
-        return self.words[addr]
-
-    def store(self, addr: int, value: int) -> None:
-        af = self.af
-        if af is not None:
-            if af.addr != addr:
-                self.words[addr] = value
-            elif af.kind_code == "other":
-                self.words[af.other_addr] = value
-            elif af.kind_code == "multi":
-                self.words[addr] = value
-                self.words[af.other_addr] = value
-            # "none": write lost, no cell selected
-            return
-        old = self.words[addr]
-        saf = self.saf
-        tf = self.tf
-        if saf is not None and saf.cell.addr == addr:
-            bit = saf.cell.bit
-            value = (value & ~(1 << bit)) | (saf.value << bit)
-        elif tf is not None and tf.cell.addr == addr:
-            bit = tf.cell.bit
-            old_b = (old >> bit) & 1
-            new_b = (value >> bit) & 1
-            blocked = (
-                (tf.rising and old_b == 0 and new_b == 1)
-                or (not tf.rising and old_b == 1 and new_b == 0)
-            )
-            if blocked:
-                value = (value & ~(1 << bit)) | (old_b << bit)
-        self.words[addr] = value
-        coupling = self.cfid or self.cfin
-        if coupling is not None and coupling.aggressor.addr == addr:
-            aggr_bit = coupling.aggressor.bit
-            a_old = (old >> aggr_bit) & 1
-            a_new = (value >> aggr_bit) & 1
-            if a_old != a_new and (a_new == 1) == coupling.rising:
-                victim = coupling.victim
-                vw = self.words[victim.addr]
-                if self.cfid is not None:
-                    self.words[victim.addr] = (
-                        vw & ~(1 << victim.bit)
-                    ) | (self.cfid.forced_value << victim.bit)
-                else:
-                    self.words[victim.addr] = vw ^ (1 << victim.bit)
-        if self.cfst is not None or saf is not None:
-            self._enforce()
-
-    def _enforce(self) -> None:
-        saf = self.saf
-        if saf is not None:
-            cell = saf.cell
-            self.words[cell.addr] = (
-                self.words[cell.addr] & ~(1 << cell.bit)
-            ) | (saf.value << cell.bit)
-        cfst = self.cfst
-        if cfst is not None:
-            aggr = cfst.aggressor
-            if ((self.words[aggr.addr] >> aggr.bit) & 1) == cfst.aggressor_value:
-                victim = cfst.victim
-                self.words[victim.addr] = (
-                    self.words[victim.addr] & ~(1 << victim.bit)
-                ) | (cfst.forced_value << victim.bit)
-
-
 # ---------------------------------------------------------------------------
 # Batched signature oracle
 # ---------------------------------------------------------------------------
@@ -1113,16 +842,11 @@ class _SignatureContext(_WordLanes):
     Single-cell, intra-word, same-bit inter-word CF and AF classes are
     answered a whole class at a time (:meth:`detect_class`): packed
     word-lane or pair-lane passes through both phases, XOR-accumulating
-    per-read weights over the corrupted read bits.  Every other fault
-    costs one O(op_count) subset replay of both phases
-    (:meth:`detect_pair`).
-
-    The same replay answers the *aliasing* oracle (:meth:`detect_pair`)
-    for free: the test-phase stream verdict is whether any replayed
-    read at a support word disagrees with its session-snapshot expected
-    value, OR-ed with the recorded fault-free mismatch behaviour of the
-    words the fault cannot influence (non-empty only for ill-formed
-    tests).  No second replay is needed for the pair.
+    per-read weights over the corrupted read bits.  Any other fault
+    sequence takes the same passes group by group
+    (:meth:`_fault_list`).  The test-phase leg of every pass ORs the
+    compare-style mismatch against the session snapshot, which is the
+    *aliasing* oracle's stream verdict, so a pair costs no second pass.
     """
 
     def __init__(
@@ -1199,17 +923,11 @@ class _SignatureContext(_WordLanes):
 
     # -- class-level dispatch ------------------------------------------
     def has_class_kernel(self, faults: Sequence[Fault]) -> bool:
-        """True when :meth:`detect_class` answers *faults*: a non-empty
+        """True when a class kernel answers *faults* whole: a non-empty
         streaming single-cell, intra-word or same-bit inter-word CF
         class at this session's geometry, or AF class at its
-        ``n_words``, over a clean fault-free test stream.  A fault-free
-        mismatch would make every fault's stream verdict depend on
-        words outside its lane."""
-        if (
-            not isinstance(faults, FaultClass)
-            or not len(faults)
-            or self.test_mismatch_addrs
-        ):
+        ``n_words``."""
+        if not isinstance(faults, FaultClass) or not len(faults):
             return False
         if isinstance(faults, AddressFaultClass):
             return faults.n_words == self.n_words
@@ -1218,12 +936,25 @@ class _SignatureContext(_WordLanes):
             or (isinstance(faults, InterWordCFClass) and faults.same_bit_only)
         )
 
-    def detect_class(self, fault_class: FaultClass) -> PlaneVerdicts:
-        """``(stream, signature)`` pair verdicts of a whole class
-        accepted by :meth:`has_class_kernel`, bit-identical to
-        :meth:`detect_pair` fault by fault.  Cached per class, so the
-        signature and aliasing oracles of one session share one
-        evaluation."""
+    def detect_class(self, faults: Sequence[Fault]) -> PlaneVerdicts | None:
+        """``(stream, signature)`` pair verdicts of any fault sequence:
+        a class :meth:`has_class_kernel` accepts in its class kernel,
+        anything else through :meth:`_fault_list`.  ``None`` when the
+        lanes cannot answer exactly: the fault-free test stream already
+        mismatches (an ill-formed test), so every fault's stream
+        verdict depends on words outside its lane, or a fault has no
+        lane semantics."""
+        if self.test_mismatch_addrs:
+            return None
+        if self.has_class_kernel(faults):
+            return self._lookup(faults)
+        out = self._fault_list(faults)
+        return None if out is None else PlaneVerdicts.from_pairs(out)
+
+    def _lookup(self, fault_class: FaultClass) -> PlaneVerdicts:
+        """Class-kernel verdicts of a class :meth:`has_class_kernel`
+        accepts, cached per class, so the signature and aliasing oracles
+        of one session (and list lookups) share one evaluation."""
         verdicts = self._class_verdicts.get(fault_class)
         if verdicts is None:
             if isinstance(fault_class, IntraWordCFClass):
@@ -1277,26 +1008,28 @@ class _SignatureContext(_WordLanes):
         )
 
     def _af_class(self, fault_class: AddressFaultClass) -> PlaneVerdicts:
-        """AF-none lanes (the first ``n`` faults) are stateless word
-        lanes: every read of the dead address returns 0, so its error is
-        the fault-free raw word and the weight planes apply as they are.
-        AF-other and AF-multi replay the compare kernel's pair lanes
-        (:func:`_af_lanes`) through both phases, each read's fault-free
-        raw and weight planes gathered into the lanes' A and B words.
-        AF errors span the word, so a lane's signature delta bit *m* is
-        the parity (XOR fold) of its ``acc[m]`` bits."""
-        n, w, mask = self.n_words, self.width, self.test.word_mask
-        lanes = _af_lanes(self.words, w, mask, fault_class.wired_or)
-        pair_det, reads = self._pair_lane_session(lanes, w)
-        shifts = range(0, n * w, w)
+        """The AF-none word lanes (the first ``n`` faults), then the
+        AF-other/AF-multi pair lanes (:func:`_af_lanes`)."""
+        n, w = self.n_words, self.width
+        none = self._af_none()
+        pairs = self._af_pairs(_af_lanes(self._packed, n, w, fault_class.wired_or))
+        return PlaneVerdicts(
+            len(fault_class),
+            (none.planes[0] | (pairs.planes[0] << (n * w)),),
+            None,
+            w,
+            (none.streams[0] | (pairs.streams[0] << (n * w)),),
+        )
 
-        def gather(plane: int) -> tuple[int, int]:
-            return lanes.gather([(plane >> s) & mask for s in shifts])
-
+    def _af_none(self) -> PlaneVerdicts:
+        """AF-none at every address: stateless word lanes.  Every read of
+        the dead address returns 0, so its error is the fault-free raw
+        word and the weight planes apply as they are.  AF errors span
+        the word, so a lane's signature delta bit *m* is the parity (XOR
+        fold) of its ``acc[m]`` bits."""
+        n, w = self.n_words, self.width
         det = 0
         acc = [0] * self.misr_width
-        pair_acc = [0] * self.misr_width
-        reads = iter(reads)
         for check, phase in zip((False, True), self._session_schedule()):
             for steps in phase:
                 for is_read, relative, mrep, fault_free, weights in steps:
@@ -1305,24 +1038,54 @@ class _SignatureContext(_WordLanes):
                     if check:
                         det |= (self._packed ^ mrep) if relative else mrep
                     acc = [a ^ (fault_free & wt) for a, wt in zip(acc, weights)]
+        return PlaneVerdicts(
+            n, (self._parity_gap_differs(acc, n, w),), None, w,
+            (self._lane_any(det, n),),
+        )
+
+    def _af_pairs(self, lanes: _PairLanes) -> PlaneVerdicts:
+        """AF-other/AF-multi pair lanes through both phases, each read's
+        fault-free raw and weight planes gathered into the lanes' A and
+        B words; lane signature deltas are parities as in
+        :meth:`_af_none`."""
+        w = self.width
+        det, reads = self._pair_lane_session(lanes, w)
+        gather = lanes.gather
+        acc = [0] * self.misr_width
+        reads = iter(reads)
+        for phase in self._session_schedule():
+            for steps in phase:
+                for is_read, _relative, _mrep, fault_free, weights in steps:
+                    if not is_read:
+                        continue
                     raw_a, raw_b = next(reads)
                     ff_a, ff_b = gather(fault_free)
                     err_a, err_b = raw_a ^ ff_a, raw_b ^ ff_b
                     if err_a | err_b:
                         for m, plane in enumerate(weights):
                             w_a, w_b = gather(plane)
-                            pair_acc[m] ^= (err_a & w_a) ^ (err_b & w_b)
-        stream = self._lane_any(det, n) | (
-            self._lane_any(pair_det, lanes.n_lanes) << (n * w)
+                            acc[m] ^= (err_a & w_a) ^ (err_b & w_b)
+        return PlaneVerdicts(
+            lanes.n_lanes,
+            (self._parity_gap_differs(acc, lanes.n_lanes, w),),
+            None,
+            w,
+            (self._lane_any(det, lanes.n_lanes),),
         )
-        signature = self._parity_gap_differs(acc, n, w) | (
-            self._parity_gap_differs(pair_acc, lanes.n_lanes, w) << (n * w)
-        )
-        return PlaneVerdicts(len(fault_class), (signature,), None, w, (stream,))
 
     def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
-        """Same-bit inter-word CF lanes (:func:`_inter_cf_lanes`) through
-        both phases, at lane stride ``S = max(width + 1, misr_width)``.
+        """All same-bit inter-word coupling faults of one kind, lane
+        ``pair_pos * variants + variant``."""
+        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
+        return self._inter_cf(fault_class.cf_kind, cells, range(fault_class.variants))
+
+    def _inter_cf(
+        self, cf_kind: str, cells: Sequence, variants: Sequence[int]
+    ) -> PlaneVerdicts:
+        """Every (cell pair, variant) of *cf_kind* as a pair lane
+        (:func:`_inter_cf_lanes`), all pairs with one bit offset,
+        through both phases at lane stride ``S = max(width + 1,
+        misr_width)``.
 
         A coupling fault only corrupts its victim bit, and every store
         to the victim word is absolute or derived from a read of that
@@ -1336,14 +1099,15 @@ class _SignatureContext(_WordLanes):
         ``acc`` is then its signature delta."""
         w, mw, n = self.width, self.misr_width, self.n_words
         stride = max(w + 1, mw)
-        lanes = _inter_cf_lanes(fault_class, self.words, stride, self.test.word_mask)
+        lanes = _inter_cf_lanes(
+            cf_kind, cells, variants, self.words, stride, self.test.word_mask
+        )
         det, reads = self._pair_lane_session(lanes, stride)
         ones = self._lane_ones(lanes.n_lanes, stride)
         carry = ones * self.test.word_mask
         row_mask = (1 << mw) - 1
-        cells = [fault_class.pair_cells(p)[1] for p in range(fault_class.n_pairs)]
-        victims = [v.addr for v in cells]
-        folds = [self.fold_positions[v.bit] for v in cells]
+        victims = [v.addr for _, v in cells]
+        folds = [self.fold_positions[v.bit] for _, v in cells]
         acc = 0
         reads = iter(reads)
         for program, raw, weights in (
@@ -1362,7 +1126,7 @@ class _SignatureContext(_WordLanes):
             acc ^ (ones * self.fault_free_gap), lanes.n_lanes, stride
         )
         stream = self._lane_any(det, lanes.n_lanes, stride)
-        return PlaneVerdicts(len(fault_class), (signature,), None, stride, (stream,))
+        return PlaneVerdicts(lanes.n_lanes, (signature,), None, stride, (stream,))
 
     def _pair_lane_session(
         self, lanes: _PairLanes, stride: int
@@ -1458,7 +1222,7 @@ class _SignatureContext(_WordLanes):
         if is_saf:
             state = full if variant else 0
         elif is_cf:
-            load, store = self._coupling_rules(kind, variant, a_bit)
+            load, store = self._cf_rules(kind, variant, a_bit)
             state = load(state)  # loaded content expresses the defect
         snap = state  # the controller's session snapshot
         det = 0
@@ -1533,133 +1297,6 @@ class _SignatureContext(_WordLanes):
             phases.append(tuple(elements))
         return phases[0], phases[1]
 
-    # -- per-fault dispatch --------------------------------------------
-    def detect_pair(self, fault: Fault) -> tuple[bool, bool]:
-        """``(stream_detected, signature_detected)`` of one session,
-        bit-identical to :class:`~repro.bist.controller.TransparentBist`
-        on the same fault, from one subset replay of both phases."""
-        fault.validate(self.n_words, self.width)
-        support = _SubsetSim.support(fault)
-        if support is None:
-            return self._fallback_pair(fault)
-        sim = _SubsetSim(
-            fault, {a: self.words[a] for a in support}, self.width
-        )
-        # The controller snapshots the faulty memory *before* the
-        # prediction phase; the subset constructor has just applied the
-        # static fault enforcement, so this is that snapshot restricted
-        # to the support words.
-        session_snap = dict(sim.words)
-        delta, _ = self._phase_delta(
-            self.prediction, sim, support, self.prediction_raw,
-            self.prediction_weights, None,
-        )
-        test_delta, mismatched = self._phase_delta(
-            self.test, sim, support, self.test_raw, self.test_weights,
-            session_snap,
-        )
-        if not mismatched and self.test_mismatch_addrs:
-            mismatched = any(
-                addr not in support for addr in self.test_mismatch_addrs
-            )
-        return mismatched, (delta ^ test_delta) != self.fault_free_gap
-
-    def _phase_delta(
-        self,
-        program: MarchProgram,
-        sim: _SubsetSim,
-        addrs: tuple[int, ...],
-        fault_free_raw: Sequence[int],
-        weights: Sequence[Sequence[int]],
-        session_snap: "dict[int, int] | None",
-    ) -> tuple[int, bool]:
-        """Subset replay of one phase, XOR-accumulating the signature
-        weights of every corrupted read bit.  With *session_snap* (the
-        session snapshot of the support words) it also reports whether
-        any read disagreed with its expected value — the compare-oracle
-        stream verdict over the support.
-
-        The fault-free stream index of the *j*-th read of address *a*
-        in element *e* is ``base_e + position(a) * reads_e + j`` —
-        exactly the order the interpreter emits reads in.
-        """
-        delta = 0
-        mismatched = False
-        check = session_snap is not None
-        n_words = self.n_words
-        fold_positions = self.fold_positions
-        ascending = sorted(addrs)
-        descending = ascending[::-1]
-        fetch = sim.fetch
-        store = sim.store
-        base = 0
-        for element in program.elements:
-            steps = element.steps
-            n_reads = element.n_reads
-            if element.descending:
-                ordered = descending
-            else:
-                ordered = ascending
-            for addr in ordered:
-                position = (n_words - 1 - addr) if element.descending else addr
-                k = base + position * n_reads
-                last_raw = 0
-                last_mask = 0
-                snap_word = session_snap[addr] if check else 0
-                for is_read, relative, mask, _ok in steps:
-                    if is_read:
-                        raw = fetch(addr)
-                        if check and not mismatched:
-                            expected = (snap_word ^ mask) if relative else mask
-                            mismatched = raw != expected
-                        err = raw ^ fault_free_raw[k]
-                        if err:
-                            weight = weights[k]
-                            bit = 0
-                            while err:
-                                if err & 1:
-                                    delta ^= weight[fold_positions[bit]]
-                                err >>= 1
-                                bit += 1
-                        last_raw, last_mask = raw, mask
-                        k += 1
-                    else:
-                        value = (
-                            (last_raw ^ last_mask ^ mask) if relative else mask
-                        )
-                        store(addr, value)
-            base += n_reads * n_words
-        return delta, mismatched
-
-    # -- fallback ------------------------------------------------------
-    def _fallback_pair(self, fault: Fault) -> tuple[bool, bool]:
-        """Full-fidelity two-phase session reporting the
-        ``(stream, signature)`` pair verdict."""
-        from ..bist.misr import Misr
-        from ..memory.injection import FaultyMemory
-
-        memory = FaultyMemory(self.n_words, self.width, [fault])
-        memory.load(self.words)
-        snapshot = memory.snapshot()
-        predict_misr = Misr(self.misr_width, self.misr_seed)
-        execute_program(
-            self.prediction,
-            memory,
-            snapshot=snapshot,
-            read_sink=lambda rec: predict_misr.absorb(rec.raw ^ rec.mask_value),
-        )
-        test_misr = Misr(self.misr_width, self.misr_seed)
-        test_run = execute_program(
-            self.test,
-            memory,
-            snapshot=snapshot,
-            read_sink=lambda rec: test_misr.absorb(rec.raw),
-        )
-        return (
-            test_run.n_mismatches > 0,
-            predict_misr.signature != test_misr.signature,
-        )
-
 
 class _PairLanes(NamedTuple):
     """One two-word fault per lane: the layout and fault semantics a
@@ -1668,8 +1305,9 @@ class _PairLanes(NamedTuple):
     Word A (the faulty or aggressor address, snapshot plane *snap_a*)
     and word B (*snap_b*); *lower* marks the lanes whose A address is
     the lower one.  ``fetch(sel)``/``store(sel, value)`` carry the fault
-    semantics, with *sel* the lanes visiting A.  ``gather`` spreads
-    per-address (AF) or per-pair (CF) values into the lane layout."""
+    semantics, with *sel* the lanes visiting A.  ``gather`` spreads a
+    packed per-address plane (AF) or per-pair values (CF) into the lane
+    layout."""
 
     n_lanes: int
     lower: int
@@ -1680,34 +1318,29 @@ class _PairLanes(NamedTuple):
     gather: Callable
 
 
-def _af_lanes(
-    words: Sequence[int], stride: int, word_mask: int, wired_or: bool
-) -> _PairLanes:
-    """AF-other and AF-multi faults of an *n*-word memory (none for
-    ``n = 1``) as pair lanes of *stride* bits: lane ``2*perm + which`` in class
-    order, word B the other address's cell ``X_o`` (which every store
-    to either address writes), word A the faulty address's own cell
-    ``X_a`` (kept by multi lanes only, and wired with ``X_o`` on reads
-    of the faulty address) — :meth:`_SubsetSim.fetch`/``store``
-    lane-parallel.
+def _af_lanes(packed: int, n: int, width: int, wired_or: bool) -> _PairLanes:
+    """AF-other and AF-multi faults of an *n*-word memory with content
+    *packed* (none for ``n = 1``) as *width*-bit pair lanes
+    (:func:`_af_pair_lanes`), lane ``2*perm + which`` in class order.
 
-    ``gather(values)`` returns the (A, B) planes of one value per
-    address from shifts of packed values, not per-lane lists: block
-    ``a`` (the ``2*(n-1)`` lanes of faulty address ``a``) of the A
-    plane repeats ``values[a]``; of the B plane it is the doubled
-    values with address ``a`` cut out.
+    ``gather(plane)`` returns the (A, B) planes of a packed per-address
+    plane from shifts of packed values, not per-lane lists: block ``a``
+    (the ``2*(n-1)`` lanes of faulty address ``a``) of the A plane
+    repeats word ``a``; of the B plane it is the doubled words with
+    address ``a`` cut out.
     """
-    n = len(words)
-    pair = 2 * stride  # the (other, multi) lanes of one address pair
+    word_mask = (1 << width) - 1
+    pair = 2 * width  # the (other, multi) lanes of one address pair
     block = pair * (n - 1)
     ones = (1 << block) - 1
     # Lanes whose faulty address is the lower one: in block a, every
     # other address past the first a.
     lower = pack_words([(ones >> (pair * a)) << (pair * a) for a in range(n)], block)
-    block_lanes = replicate_mask(1, 2 * (n - 1), stride)
+    block_lanes = replicate_mask(1, 2 * (n - 1), width)
 
-    def gather(values: Sequence[int]) -> tuple[int, int]:
-        doubled = pack_words([x | (x << stride) for x in values], pair)
+    def gather(plane: int) -> tuple[int, int]:
+        values = [(plane >> (a * width)) & word_mask for a in range(n)]
+        doubled = pack_words([x | (x << width) for x in values], pair)
         other = pack_words(
             [
                 (doubled & ((1 << (pair * a)) - 1))
@@ -1718,8 +1351,47 @@ def _af_lanes(
         )
         return pack_words(values, block) * block_lanes, other
 
-    multi = replicate_mask(word_mask << stride, n * (n - 1), pair)
-    x_a, x_o = snap_a, snap_b = gather(words)
+    multi = replicate_mask(word_mask << width, n * (n - 1), pair)
+    return _af_pair_lanes(2 * n * (n - 1), lower, multi, wired_or, gather, packed)
+
+
+def _af_list_lanes(
+    faults: Sequence[AddressDecoderFault], packed: int, width: int, wired_or: bool
+) -> _PairLanes:
+    """AF-other and AF-multi faults of a fault sequence as *width*-bit
+    pair lanes (:func:`_af_pair_lanes`), one per fault in order;
+    ``gather(plane)`` reads only the words the faults name."""
+    word_mask = (1 << width) - 1
+    addrs = [f.addr for f in faults]
+    others = [f.other_addr for f in faults]
+    used = set(addrs) | set(others)
+
+    def gather(plane: int) -> tuple[int, int]:
+        word = {a: (plane >> (a * width)) & word_mask for a in used}
+        return (
+            pack_words([word[a] for a in addrs], width),
+            pack_words([word[o] for o in others], width),
+        )
+
+    lower = pack_words([word_mask * (a < o) for a, o in zip(addrs, others)], width)
+    multi = pack_words([word_mask * (f.kind_code == "multi") for f in faults], width)
+    return _af_pair_lanes(len(faults), lower, multi, wired_or, gather, packed)
+
+
+def _af_pair_lanes(
+    n_lanes: int,
+    lower: int,
+    multi: int,
+    wired_or: bool,
+    gather: Callable,
+    packed: int,
+) -> _PairLanes:
+    """Address-decoder faults as pair lanes, ``FaultyMemory``'s AF
+    semantics lane-parallel: word B is the other address's cell
+    ``X_o`` (which every store to either address writes), word A the
+    faulty address's own cell ``X_a`` (kept by the *multi* lanes only,
+    and wired with ``X_o`` on reads of the faulty address)."""
+    x_a, x_o = snap_a, snap_b = gather(packed)
 
     def fetch(sel: int) -> int:
         wired = multi & sel
@@ -1733,28 +1405,31 @@ def _af_lanes(
         x_o = value
         x_a = (x_a & ~wired) | (value & wired)
 
-    return _PairLanes(2 * n * (n - 1), lower, snap_a, snap_b, fetch, store, gather)
+    return _PairLanes(n_lanes, lower, snap_a, snap_b, fetch, store, gather)
 
 
 def _inter_cf_lanes(
-    fault_class: InterWordCFClass,
+    cf_kind: str,
+    cells: Sequence,
+    variants: Sequence[int],
     words: Sequence[int],
     stride: int,
     word_mask: int,
 ) -> _PairLanes:
-    """The same-bit inter-word coupling faults of *fault_class* as pair
-    lanes of *stride* bits: lane ``pair_pos*variants + variant`` (the
-    class order) holds the pair's aggressor (A) and victim (B) words,
-    with per-lane masks for the shared aggressor/victim bit and the
-    variant's ``x``/``y``/``rising`` parameters —
-    :meth:`_CampaignContext._coupling` lane-parallel: CFst enforced
-    after the load and every store, CFid/CFin triggered by aggressor
-    transitions.  ``gather(values)`` copies one value per pair into
+    """Inter-word coupling faults of *cf_kind* as pair lanes of
+    *stride* bits: every ``(aggressor, victim)`` cell pair of *cells*
+    (all with one bit offset ``victim.bit - aggressor.bit``) gets one
+    lane per variant of *variants*, lane ``pair_pos * len(variants) +
+    k``, holding its aggressor (A) and victim (B) words, with per-lane
+    masks for the aggressor bit and the variant's ``x``/``y``/``rising``
+    parameters — ``FaultyMemory``'s coupling semantics lane-parallel:
+    CFst enforced after the load and every store, CFid/CFin triggered
+    by aggressor transitions.  A condition or trigger read at the
+    aggressor bit moves to the victim bit by the offset (none for
+    same-bit pairs).  ``gather(values)`` copies one value per pair into
     each of its variant lanes."""
-    variants = fault_class.variants
-    cells = tuple(fault_class.pair_cells(p) for p in range(fault_class.n_pairs))
-    span = variants * stride
-    spread = replicate_mask(1, variants, stride)
+    span = len(variants) * stride
+    spread = replicate_mask(1, len(variants), stride)
 
     def per_pair(values: list[int]) -> int:
         return pack_words(values, span) * spread
@@ -1763,7 +1438,11 @@ def _inter_cf_lanes(
     victim = per_pair([words[v.addr] for _, v in cells])
     bit = per_pair([1 << a.bit for a, _ in cells])
     lower = per_pair([word_mask if a.addr < v.addr else 0 for a, v in cells])
-    params = [_cf_params(fault_class.cf_kind, k) for k in range(variants)]
+    params = [_cf_params(cf_kind, k) for k in variants]
+    offset = cells[0][1].bit - cells[0][0].bit if cells else 0
+
+    def onto_victim(plane: int) -> int:
+        return plane << offset if offset > 0 else plane >> -offset
 
     def lanes_where(index: int) -> int:
         pattern = sum(
@@ -1772,11 +1451,13 @@ def _inter_cf_lanes(
         return replicate_mask(pattern, len(cells), span) & bit
 
     rising, x_bit, y_bit = (lanes_where(i) for i in range(3))
-    cf_kind = fault_class.cf_kind
+    x_bit = onto_victim(x_bit)
 
     def enforce() -> None:
         nonlocal victim
         cond = ~(aggr ^ y_bit) & bit
+        if offset:
+            cond = onto_victim(cond)
         victim = (victim & ~cond) | (cond & x_bit)
 
     if cf_kind == "CFst":
@@ -1794,12 +1475,14 @@ def _inter_cf_lanes(
             enforce()
             return
         trig = (old ^ aggr) & ~(aggr ^ rising) & bit
+        if offset:
+            trig = onto_victim(trig)
         if cf_kind == "CFid":
             victim = (victim & ~trig) | (trig & x_bit)
         else:
             victim ^= trig
 
-    n_lanes = len(cells) * variants
+    n_lanes = len(cells) * len(variants)
     return _PairLanes(n_lanes, lower, aggr, victim, fetch, store, per_pair)
 
 
@@ -1829,6 +1512,86 @@ def _cf_params(cf_kind: str, variant: int) -> tuple[bool, int, int]:
         half, x = divmod(variant, 2)
         return half == 0, x, 0
     return variant == 0, 0, 0
+
+
+def _cf_variant_index(fault: CouplingFault) -> int:
+    """The variant of a coupling fault in :func:`_cf_params` order."""
+    if isinstance(fault, StateCouplingFault):
+        return 2 * fault.aggressor_value + fault.forced_value
+    if isinstance(fault, IdempotentCouplingFault):
+        return 2 * (not fault.rising) + fault.forced_value
+    return int(not fault.rising)
+
+
+def _af_index(fault: AddressDecoderFault, n_words: int) -> int:
+    """An AF-other/AF-multi fault's index in its
+    :class:`~repro.memory.injection.AddressFaultClass`."""
+    other = fault.other_addr - (fault.other_addr > fault.addr)
+    return n_words + 2 * (fault.addr * (n_words - 1) + other) + (
+        fault.kind_code == "multi"
+    )
+
+
+def _lane_groups(
+    faults: Sequence[Fault], n_words: int, width: int
+) -> "dict[object, tuple[list[int], list]] | None":
+    """*faults* grouped by the lane pass that answers them, as ``group
+    -> (positions in faults, items)``; ``None`` when some fault has no
+    lane semantics (user-defined kinds, AF-none floating to a non-zero
+    word).
+
+    * single-cell and intra-word faults: group = their whole class at
+      this geometry, item = the fault's index in it;
+    * AF-none: group ``"AF-none"``, item = the dead address;
+    * AF-other/AF-multi: group ``("AF", wired_or)``, item = the fault;
+    * inter-word CF: group ``("CF", kind, victim.bit - aggressor.bit,
+      variant)``, item = the ``(aggressor, victim)`` cells.
+    """
+    groups: dict = {}
+    for i, fault in enumerate(faults):
+        fault.validate(n_words, width)
+        if isinstance(fault, (StuckAtFault, TransitionFault, ReadDisturbFault)):
+            pos = fault.cell.addr * width + fault.cell.bit
+            if isinstance(fault, StuckAtFault):
+                group, item = StuckAtClass(n_words, width), 2 * pos + fault.value
+            elif isinstance(fault, TransitionFault):
+                group = TransitionClass(n_words, width)
+                item = 2 * pos + (not fault.rising)
+            else:
+                group = ReadDisturbClass(n_words, width, deceptive=fault.deceptive)
+                item = pos
+        elif isinstance(fault, _CF_TYPES):
+            aggressor, victim = fault.aggressor, fault.victim
+            variant = _cf_variant_index(fault)
+            if fault.intra_word:
+                group = IntraWordCFClass(n_words, width, fault.kind)
+                a, v = aggressor.bit, victim.bit
+                pair = a * (width - 1) + v - (v > a)
+                item = (victim.addr * group.n_pairs + pair) * group.variants + variant
+            else:
+                group = ("CF", fault.kind, victim.bit - aggressor.bit, variant)
+                item = (aggressor, victim)
+        elif isinstance(fault, AddressDecoderFault):
+            if fault.kind_code != "none":
+                group, item = ("AF", fault.wired_or), fault
+            elif fault.float_value & ((1 << width) - 1):
+                return None
+            else:
+                group, item = "AF-none", fault.addr
+        else:
+            return None
+        positions, items = groups.setdefault(group, ([], []))
+        positions.append(i)
+        items.append(item)
+    return groups
+
+
+def _reference_verdicts(oracle: str, *args, **kwargs) -> list:
+    """The batch engine's one way out of the lanes: the reference
+    interpreter's per-fault loop behind the :class:`Engine` entry point
+    *oracle*, for underivable programs, ill-formed tests and fault
+    kinds without lane semantics."""
+    return getattr(_REFERENCE, oracle)(*args, **kwargs)
 
 
 def _layout(program: MarchProgram) -> tuple:
@@ -1887,4 +1650,5 @@ def _weight_planes(
     )
 
 
+_REFERENCE = ReferenceEngine()
 register_engine(BatchEngine())

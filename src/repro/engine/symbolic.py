@@ -155,7 +155,7 @@ class SymbolicEngine(Engine):
             try:
                 verdict = ctx.verdict(fault)
             except _NoSymbolicSemantics:
-                out.append(self._fallback(program, width, words, fault, derive_writes))
+                out.append(self._interpret(program, width, words, fault, derive_writes))
                 continue
             out.append(verdict.concretize(width, words))
         return out
@@ -235,7 +235,7 @@ class SymbolicEngine(Engine):
         return ctx
 
     @staticmethod
-    def _fallback(program, width, words, fault, derive_writes) -> bool:
+    def _interpret(program, width, words, fault, derive_writes) -> bool:
         """Full-fidelity interpretation for fault kinds without
         symbolic semantics (user-defined models)."""
         from ..memory.injection import FaultyMemory
@@ -831,8 +831,7 @@ class _SymbolicCampaign:
     ) -> bool:
         """Exact replay of the program over the fault's support slots.
 
-        Mirrors :class:`repro.engine.batch._SubsetSim` (itself a mirror
-        of :class:`~repro.memory.injection.FaultyMemory`) at bit
+        Mirrors :class:`~repro.memory.injection.FaultyMemory` at bit
         granularity: every semantic rule of the classic fault models is
         per-cell, and march data is bitwise, so the slots evolve
         exactly as the corresponding bits of a full concrete run — for

@@ -26,7 +26,7 @@ is re-masked here.  Counting is then one ``bit_count`` per plane,
 transport (pickling to the pool parent) ships the planes as they are,
 and the undetected-fault sample for reports inverts each plane against
 its own valid bits in a low window of slots.  Indexing decodes on
-demand; nothing iterates per fault.
+demand from bytes of the planes, made once; nothing else iterates.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PlaneVerdicts(Sequence):
     tuple in the pair form (``streams`` set); the counters and
     :meth:`missed_indices` follow the signature planes."""
 
-    __slots__ = ("n", "planes", "places", "slot_stride", "streams")
+    __slots__ = ("n", "planes", "places", "slot_stride", "streams", "_bytes")
 
     def __init__(
         self,
@@ -83,6 +83,7 @@ class PlaneVerdicts(Sequence):
         self.n = n
         self.slot_stride = slot_stride
         self.streams = None if streams is None else tuple(streams)
+        self._bytes: tuple[list[bytes], list[bytes]] | None = None
 
     @classmethod
     def from_bools(cls, verdicts: Iterable[object]) -> "PlaneVerdicts":
@@ -153,22 +154,31 @@ class PlaneVerdicts(Sequence):
             index += self.n
         if not 0 <= index < self.n:
             raise IndexError("verdict index out of range")
-        slot, j = divmod(index, len(self.places))
-        plane, offset = self.places[j]
-        bit = slot * self.slot_stride + offset
-        hit = bool((self.planes[plane] >> bit) & 1)
-        if self.streams is None:
-            return hit
-        return (bool((self.streams[plane] >> bit) & 1), hit)
+        return self.select((index,))[0]
 
     def __iter__(self) -> Iterator:
-        if self.streams is None and self.places == ((0, 0),) and self.slot_stride == 1:
-            plane = self.planes[0]
-            for i in range(self.n):
-                yield bool((plane >> i) & 1)
-            return
-        for i in range(self.n):
-            yield self[i]
+        return iter(self.tolist())
+
+    def select(self, indices: Iterable[int]) -> list:
+        """The verdicts of the faults at *indices*.  The planes are
+        turned into bytes on the first call and kept, so a bit test
+        costs O(1) instead of a shift of the whole plane."""
+        stride = len(self.places)
+        if self._bytes is None:
+            size = (self.n // stride) * self.slot_stride // 8 + 1
+            self._bytes = tuple(
+                [plane.to_bytes(size, "little") for plane in planes]
+                for planes in (self.planes, self.streams or ())
+            )
+        signature, streams = self._bytes
+        out = []
+        for index in indices:
+            slot, j = divmod(index, stride)
+            plane, offset = self.places[j]
+            byte, shift = divmod(slot * self.slot_stride + offset, 8)
+            hit = bool((signature[plane][byte] >> shift) & 1)
+            out.append((bool((streams[plane][byte] >> shift) & 1), hit) if streams else hit)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PlaneVerdicts):
@@ -241,4 +251,4 @@ class PlaneVerdicts(Sequence):
             window *= 4
 
     def tolist(self) -> list:
-        return list(self)
+        return self.select(range(self.n))

@@ -20,6 +20,8 @@ import random
 import pytest
 
 from repro.analysis.coverage import (
+    AliasingFlow,
+    CompareFlow,
     aliasing_flow,
     compare_flow,
     run_campaign,
@@ -235,6 +237,67 @@ class TestContextCache:
         assert total.build_seconds == 0.75
         assert ContextStats(**total.as_dict()).as_dict() == total.as_dict()
         assert "2 built" in total.render()
+
+
+class _CountingInt(int):
+    """An int that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        _CountingInt.hashes += 1
+        return int.__hash__(self)
+
+
+class TestFlowContextKeys:
+    """A flow builds its context key once: a cache hit neither copies
+    nor re-hashes the words, equal flows still share one context, and
+    flows one word apart never do."""
+
+    def _flow(self, twm, words, mode):
+        if mode == "compare":
+            return CompareFlow(twm.twmarch, N_WORDS, WIDTH, words)
+        return AliasingFlow(twm.twmarch, twm.prediction, N_WORDS, WIDTH, words)
+
+    @pytest.mark.parametrize("mode", ["compare", "aliasing"])
+    def test_hit_neither_copies_nor_rehashes_words(self, twm, mode):
+        flow = self._flow(twm, [_CountingInt(w) for w in range(N_WORDS)], mode)
+        cache = ContextCache(get_engine("batch"))
+        ctx = cache.get(flow)
+        assert flow.context_key() is flow.context_key()
+        hashed = _CountingInt.hashes
+        for _ in range(5):
+            assert cache.get(flow) is ctx
+        assert _CountingInt.hashes == hashed
+        assert cache.stats.builds == 1
+
+    @pytest.mark.parametrize("mode", ["compare", "aliasing"])
+    def test_equal_flows_share_one_context(self, twm, mode):
+        cache = ContextCache(get_engine("batch"))
+        first = self._flow(twm, list(range(N_WORDS)), mode)
+        second = self._flow(twm, list(range(N_WORDS)), mode)
+        assert first.context_key() is not second.context_key()
+        assert cache.get(first) is cache.get(second)
+        assert cache.stats.builds == 1
+
+    @pytest.mark.parametrize("mode", ["compare", "aliasing"])
+    def test_flows_one_word_apart_never_share(self, twm, mode):
+        cache = ContextCache(get_engine("batch"))
+        words = list(range(N_WORDS))
+        first = self._flow(twm, words, mode)
+        for addr in range(N_WORDS):
+            changed = words.copy()
+            changed[addr] ^= 1
+            other = self._flow(twm, changed, mode)
+            assert other.context_key() != first.context_key()
+            assert cache.get(other) is not cache.get(first)
+            # The engine's guard still refuses the other flow's context.
+            with pytest.raises(ExecutionError):
+                first.run_class(
+                    get_engine("batch"),
+                    standard_fault_universe(N_WORDS, WIDTH)["SAF"],
+                    context=cache.get(other).payload,
+                )
 
 
 class TestPersistentWorkers:

@@ -321,13 +321,13 @@ class TestCampaignReportExtras:
 
 
 class TestAddressFaultFastPath:
-    """The AF class takes the subset fast path, never the interpreter."""
+    """The AF class takes the pair lanes, never the interpreter."""
 
     def test_af_never_hits_reference_fallback(self, monkeypatch):
-        def boom(self, fault):
-            raise AssertionError(f"reference fallback hit for {fault}")
+        def boom(oracle, *args, **kwargs):
+            raise AssertionError(f"reference fallback hit for {oracle}")
 
-        monkeypatch.setattr(batch_module._CampaignContext, "_fallback", boom)
+        monkeypatch.setattr(batch_module, "_reference_verdicts", boom)
         twm = twm_transform(catalog.get("March C-"), 4)
         universe = small_universe(N_WORDS, 4, 5)
         flow = compare_flow(twm.twmarch, N_WORDS, 4, initial=None, seed=5)

@@ -13,9 +13,14 @@ The megaword contract has three parts, each tested here:
   pickling);
 * **class kernels** — the batch engine's
   :meth:`~repro.engine.BatchEngine.detect_class_batch` one-pass
-  kernels are bit-identical to per-fault dispatch and the reference
-  interpreter, at small sizes fully and at megaword sizes on strided
-  samples, across edge widths (1, non-power-of-two, > 64).
+  kernels are bit-identical to the reference interpreter (and, at
+  sizes the interpreter cannot afford, to one-element calls of the
+  list path), at small sizes fully and at megaword sizes on strided
+  samples, across edge widths (1, non-power-of-two, > 64);
+* **one lane path** — materialized lists, chunk slices, cross-bit and
+  mismatched-geometry classes take the lanes too; only ill-formed
+  tests, underivable programs and unknown fault kinds reach the one
+  reference fallback.
 """
 
 import pickle
@@ -42,6 +47,7 @@ from repro.engine import batch as batch_module
 from repro.engine.program import compile_symbolic, pack_words
 from repro.engine.symbolic import _SymbolicCampaign
 from repro.library import catalog
+from repro.memory.faults import AddressDecoderFault, Fault
 from repro.memory.injection import (
     AddressFaultClass,
     FaultClass,
@@ -277,6 +283,19 @@ def _context(test, n_words, width, seed):
     )
 
 
+def _one_by_one(ctx, faults):
+    """Each fault's verdict from a one-element call of the list path."""
+    return [ctx.detect_class([fault])[0] for fault in faults]
+
+
+def _reference(ctx, faults):
+    """The reference engine's verdicts on *ctx*'s compare campaign."""
+    return get_engine("reference").detect_batch(
+        ctx.program, ctx.n_words, ctx.width, ctx.words, list(faults),
+        derive_writes=ctx.derive,
+    )
+
+
 def _classes(n_words, width):
     out = {
         "SAF": StuckAtClass(n_words, width),
@@ -291,7 +310,7 @@ def _classes(n_words, width):
 
 
 class TestClassKernelEquivalence:
-    """Packed class passes == per-fault dispatch == reference."""
+    """Packed class passes == the list path == reference."""
 
     def test_full_equality_small(self):
         for name in ("March C-", "MATS+"):
@@ -302,15 +321,14 @@ class TestClassKernelEquivalence:
                     continue  # intra kernels covered at smaller n below
                 packed = ctx.detect_class(fc)
                 assert len(packed) == len(fc)
-                per_fault = [ctx.detect(f) for f in fc]
-                assert packed == per_fault, (name, cname)
+                assert packed == _one_by_one(ctx, fc), (name, cname)
 
     def test_intra_cf_kernels_small(self):
         twm = twm_transform(catalog.get("March C-"), 4).twmarch
         ctx = _context(twm, 16, 4, seed=3)
         for cname, fc in _classes(16, 4).items():
             packed = ctx.detect_class(fc)
-            assert packed == [ctx.detect(f) for f in fc], cname
+            assert packed == _reference(ctx, fc), cname
 
     def test_edge_widths(self):
         # Width 1 (no intra classes), non-power-of-two 3 and 5 (raw
@@ -322,11 +340,12 @@ class TestClassKernelEquivalence:
             ctx = _context(test, n, w, seed=n * w)
             for cname, fc in _classes(n, w).items():
                 packed = ctx.detect_class(fc)
-                assert packed == [ctx.detect(f) for f in fc], (n, w, cname)
+                assert packed == _reference(ctx, fc), (n, w, cname)
 
     def test_megaword_sampled(self):
-        # 2^16 and 2^20 words: packed bitset vs strided per-fault
-        # samples (full per-fault dispatch would take minutes).
+        # 2^16 and 2^20 words: packed bitset vs strided one-element
+        # calls of the list path (the reference engine would take
+        # hours).
         twm = twm_transform(catalog.get("March C-"), 8).twmarch
         for n in (1 << 16, 1 << 20):
             ctx = _context(twm, n, 8, seed=1)
@@ -337,7 +356,9 @@ class TestClassKernelEquivalence:
                 assert len(packed) == len(fc)
                 stride = max(1, len(fc) // 48)
                 for i in range(0, len(fc), stride):
-                    assert packed[i] == ctx.detect(fc[i]), (n, cname, i)
+                    assert packed[i] == ctx.detect_class([fc[i]])[0], (
+                        n, cname, i,
+                    )
 
     def test_matches_reference_engine(self):
         twm = twm_transform(catalog.get("March U"), 4).twmarch
@@ -353,25 +374,27 @@ class TestClassKernelEquivalence:
 
     def test_ill_formed_baseline_falls_back(self):
         # An ill-formed march (reads before initializing) mismatches
-        # fault free on random content, so the strided kernels must not
-        # apply; the streaming per-fault path still answers exactly.
+        # fault free on random content, so no lane pass applies; the
+        # engine answers through the reference interpreter instead.
         from repro.core.notation import parse_march
 
         raw = parse_march("⇕(r0);⇑(w1,r1)", name="ill-formed")
         ctx = _context(raw, 6, 4, seed=2)
-        assert ctx._baseline_plane() != 0
+        batch = get_engine("batch")
         for cname, fc in _classes(6, 4).items():
-            packed = ctx.detect_class(fc)
-            assert packed == [ctx.detect(f) for f in fc], cname
+            assert ctx.detect_class(fc) is None, cname
+            packed = batch.detect_class_batch(raw, 6, 4, ctx.words, fc)
+            assert packed == _reference(ctx, fc), cname
 
     def test_geometry_mismatch_streams(self):
-        # A class narrower than the campaign streams per fault (except
-        # SAF, whose kernel replicates at the class lane width).
+        # A class narrower than the campaign is answered fault by fault
+        # from the campaign's own planes (except SAF, whose kernel
+        # replicates at the class lane width).
         twm = twm_transform(catalog.get("March C-"), 8).twmarch
         ctx = _context(twm, 6, 8, seed=4)
         for fc in (TransitionClass(6, 4), StuckAtClass(6, 4)):
             packed = ctx.detect_class(fc)
-            assert packed == [ctx.detect(f) for f in fc]
+            assert packed == _reference(ctx, fc)
 
     def test_campaign_jobs_deterministic_streaming(self):
         twm = twm_transform(catalog.get("March C-"), 4)
@@ -415,8 +438,7 @@ _HAND_WRITTEN = (
 
 
 class TestPairLaneKernels:
-    """Packed AF and inter-word CF kernels == per-fault dispatch ==
-    reference."""
+    """Packed AF and inter-word CF kernels == reference."""
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
     def test_matches_per_fault(self, width):
@@ -427,6 +449,7 @@ class TestPairLaneKernels:
             for name in catalog.names()
         ]
         tests += [parse_march(text, name=text) for text in _HAND_WRITTEN]
+        batch = get_engine("batch")
         misses = {"AF": 0, "CF": 0}
         for test in tests:
             name = test.name
@@ -440,9 +463,14 @@ class TestPairLaneKernels:
                         )
                         classes = _pair_lane_classes(n, width, seed)
                         for cname, fc in classes.items():
-                            packed = ctx.detect_class(fc)
+                            # A baseline dirty on one datapath (a
+                            # hand-written test) takes the reference.
+                            packed = batch.detect_class_batch(
+                                program, n, width, ctx.words, fc,
+                                derive_writes=derive, context=ctx,
+                            )
                             assert len(packed) == len(fc)
-                            expected = [ctx.detect(f) for f in fc]
+                            expected = _reference(ctx, fc)
                             assert packed.tolist() == expected, (
                                 name, derive, n, seed, cname,
                             )
@@ -462,7 +490,7 @@ class TestPairLaneKernels:
                 )
                 for cname, fc in _pair_lane_classes(n, w, 1).items():
                     packed = ctx.detect_class(fc)
-                    assert packed.tolist() == [ctx.detect(f) for f in fc], (
+                    assert packed.tolist() == _reference(ctx, fc), (
                         n, w, derive, cname,
                     )
 
@@ -481,7 +509,7 @@ class TestPairLaneKernels:
                 "AF-multi(and)@2+0",
                 "AF-multi(and)@2+1",
             ]
-            assert packed.tolist() == [ctx.detect(f) for f in fc]
+            assert packed.tolist() == _reference(ctx, fc)
 
     def test_matches_reference_engine(self):
         batch = get_engine("batch")
@@ -506,46 +534,62 @@ class TestPairLaneKernels:
                     assert packed.tolist() == expected, (name, derive, cname)
 
 
+class _WeirdFault(Fault):
+    """A user-defined fault kind: no lane pass models it."""
+
+    @property
+    def cells(self):
+        return ()
+
+    @property
+    def kind(self):
+        return "WEIRD"
+
+    def describe(self):
+        return "WEIRD"
+
+
 @pytest.fixture
 def compare_probes(monkeypatch):
-    """Counts the compare context's per-fault AF/coupling replays and
-    its pair-lane kernel passes."""
-    counts = {"subset": 0, "coupling": 0, "pair_lane": 0}
-    context_cls = batch_module._CampaignContext
-    for attr, key in (
-        ("_subset_detect", "subset"),
-        ("_coupling", "coupling"),
-        ("_pair_lane_run", "pair_lane"),
-    ):
-        original = getattr(context_cls, attr)
+    """Counts the batch engine's reference-fallback calls (and the
+    faults they carry) and the compare context's pair-lane passes."""
+    counts = {"fallback": 0, "fallback_faults": 0, "pair_lane": 0}
+    fallback = batch_module._reference_verdicts
 
-        def counting(self, *args, _original=original, _key=key, **kwargs):
-            counts[_key] += 1
-            return _original(self, *args, **kwargs)
+    def counting_fallback(oracle, *args, **kwargs):
+        counts["fallback"] += 1
+        counts["fallback_faults"] += len(args[4])  # the fault sequence
+        return fallback(oracle, *args, **kwargs)
 
-        monkeypatch.setattr(context_cls, attr, counting)
+    pair_lane_run = batch_module._CampaignContext._pair_lane_run
+
+    def counting_pair_lane_run(self, lanes):
+        counts["pair_lane"] += 1
+        return pair_lane_run(self, lanes)
+
+    monkeypatch.setattr(batch_module, "_reference_verdicts", counting_fallback)
+    monkeypatch.setattr(
+        batch_module._CampaignContext, "_pair_lane_run", counting_pair_lane_run
+    )
     return counts
 
 
 class TestPairLaneKernelPaths:
-    """Which AF and inter-word CF classes take the pair-lane kernels,
-    which keep the per-fault replay — with identical verdicts."""
+    """Which fault sequences take the lanes and which the one reference
+    fallback — with the reference engine's verdicts either way."""
 
     N, W = 4, 4
 
     def _universe(self, streaming=True):
-        return {
-            name: fc
-            for name, fc in standard_fault_universe(
-                self.N,
-                self.W,
-                max_inter_pairs=6,
-                rng=random.Random(4),
-                include_af=True,
-                streaming=streaming,
-            ).items()
-            if name == "AF" or name.endswith("-inter")
-        }
+        return standard_fault_universe(
+            self.N,
+            self.W,
+            max_inter_pairs=6,
+            rng=random.Random(4),
+            include_rdf=True,
+            include_af=True,
+            streaming=streaming,
+        )
 
     def _context(self, test=None, seed=5):
         test = test or twm_transform(catalog.get("March C-"), self.W).twmarch
@@ -555,49 +599,89 @@ class TestPairLaneKernelPaths:
         twm = twm_transform(catalog.get("March C-"), self.W)
         flow = compare_flow(twm.twmarch, self.N, self.W, seed=3)
         fast = run_campaign(flow, self._universe(), engine="batch")
-        assert compare_probes["subset"] == compare_probes["coupling"] == 0
         assert compare_probes["pair_lane"] == 4  # AF + three CF kinds
+        # A materialized universe takes pair lanes too: built from the
+        # CF lists, and the AF list (the whole class) looks up the
+        # class's own lanes.
         slow = run_campaign(flow, self._universe(streaming=False), engine="batch")
-        assert compare_probes["subset"] > 0 and compare_probes["coupling"] > 0
-        assert compare_probes["pair_lane"] == 4
+        assert compare_probes["pair_lane"] > 4
+        assert compare_probes["fallback"] == 0
         assert fast.coverage_vector() == slow.coverage_vector()
         assert fast.undetected == slow.undetected
+        ref = run_campaign(flow, self._universe(streaming=False), engine="reference")
+        assert slow.coverage_vector() == ref.coverage_vector()
+        assert slow.undetected == ref.undetected
 
-    def _per_fault_path(self, probes, ctx, fc):
-        before = probes["subset"] + probes["coupling"]
+    def _lane_path(self, probes, ctx, fc):
         lanes = probes["pair_lane"]
-        packed = ctx.detect_class(fc)
-        assert probes["pair_lane"] == lanes
-        assert probes["subset"] + probes["coupling"] - before >= len(fc)
-        probes["subset"] = probes["coupling"] = 0
-        assert packed.tolist() == [ctx.detect(f) for f in fc]
+        for faults in (fc, list(fc)):
+            packed = ctx.detect_class(faults)
+            assert packed.tolist() == _reference(ctx, fc)
+        assert probes["pair_lane"] > lanes
+        assert probes["fallback"] == 0
 
-    def test_cross_bit_inter_cf_keeps_per_fault_path(self, compare_probes):
+    def test_cross_bit_inter_cf_takes_lanes(self, compare_probes):
         ctx = self._context()
         for kind in ("CFst", "CFid", "CFin"):
             fc = InterWordCFClass(
                 self.N, self.W, kind, same_bit_only=False,
                 max_pairs=8, rng=random.Random(1),
             )
-            self._per_fault_path(compare_probes, ctx, fc)
+            self._lane_path(compare_probes, ctx, fc)
 
-    def test_mismatched_geometry_keeps_per_fault_path(self, compare_probes):
+    def test_mismatched_geometry_takes_lanes(self, compare_probes):
         ctx = self._context()
         for fc in (
             AddressFaultClass(self.N - 1),
             InterWordCFClass(self.N - 1, self.W, "CFid"),
             InterWordCFClass(self.N, self.W // 2, "CFst"),
         ):
-            self._per_fault_path(compare_probes, ctx, fc)
+            self._lane_path(compare_probes, ctx, fc)
+
+    def test_sparse_af_lists_take_list_lanes(self, compare_probes):
+        # A few AF faults of a larger memory take pair lanes built from
+        # the list, in both oracles; a list holding much of the class
+        # takes lookups in the class's verdicts.  MATS+ at width 1
+        # misses the two AF-multi(and) faults of address 2.
+        n, width = 8, 1
+        words = _words(n, width, 0)
+        twm = twm_transform(catalog.get("MATS+"), width)
+        test, prediction = (compile_march(t, width) for t in (twm.twmarch, twm.prediction))
+        missed = [AddressDecoderFault(2, "multi", other) for other in (0, 1)]
+        rng = random.Random(3)
+        for wired_or in (False, True):
+            pool = AddressFaultClass(n, wired_or=wired_or)[n:]
+            faults = [*missed, *rng.sample(pool, 4), AddressDecoderFault(5)]
+            for derive in (True, False):
+                ctx = batch_module._CampaignContext(test, n, words, derive)
+                verdicts = ctx.detect_class(faults).tolist()
+                assert verdicts == _reference(ctx, faults)
+                assert verdicts[:2] == [False, False]
+                assert not ctx._lookups
+                assert ctx.detect_class(pool).tolist() == _reference(ctx, pool)
+                assert ctx._lookups
+            for misr_width, misr_seed in ((3, 0), (1, 5)):
+                session = batch_module._SignatureContext(
+                    prediction, test, n, words, misr_width, misr_seed
+                )
+                assert session.detect_class(faults) == _reference_pairs(
+                    session, faults
+                )
+                assert not session._class_verdicts
+        assert compare_probes["fallback"] == 0
 
     def test_ill_formed_test_keeps_per_fault_path(self, compare_probes):
         from repro.core.notation import parse_march
 
         raw = parse_march("⇕(r0);⇑(w1,r1)", name="ill-formed")
         ctx = self._context(raw, seed=2)
-        assert ctx._baseline_plane() != 0
+        batch = get_engine("batch")
         for fc in _pair_lane_classes(self.N, self.W, 2).values():
-            self._per_fault_path(compare_probes, ctx, fc)
+            calls = compare_probes["fallback"]
+            packed = batch.detect_class_batch(raw, self.N, self.W, ctx.words, fc)
+            assert compare_probes["fallback"] == calls + 1
+            assert packed.tolist() == _reference(ctx, fc)
+        assert compare_probes["pair_lane"] == 0
 
     def test_underivable_program_keeps_per_fault_path(self, compare_probes):
         from repro.core.notation import parse_march
@@ -613,7 +697,39 @@ class TestPairLaneKernelPaths:
                 reference.detect_batch(*args, list(fc))
             with pytest.raises(ExecutionError):
                 batch.detect_class_batch(*args, fc)
+        assert compare_probes["fallback"] == len(_pair_lane_classes(self.N, self.W, 1))
         assert compare_probes["pair_lane"] == 0
+
+    def test_user_defined_fault_kind_takes_reference(self, compare_probes):
+        # One fault no lane pass models sends its whole sequence to the
+        # reference engine, which sees a fault-free memory for it.
+        ctx = self._context()
+        faults = [*AddressFaultClass(self.N)[:3], _WeirdFault()]
+        batch = get_engine("batch")
+        verdicts = batch.detect_batch(
+            ctx.program, self.N, self.W, ctx.words, faults
+        )
+        assert compare_probes["fallback"] == 1
+        assert compare_probes["fallback_faults"] == len(faults)
+        assert verdicts == _reference(ctx, faults)
+        assert verdicts[-1] is False
+
+    def test_table2_batch_takes_lanes(self, compare_probes, capsys):
+        # The symbolic cross-check through the batch engine prints the
+        # reference engine's table, with no per-fault call.
+        def rows(engine):
+            argv = ["table2", "--widths", "4,8", "--words", "3"]
+            assert main([*argv, "--max-inter-pairs", "4", "--engines", engine]) == 0
+            return [
+                [cell.strip() for cell in line.split("|")[1:-1]]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| ") and "vs " not in line
+            ]
+
+        batch_rows = rows("batch")
+        assert compare_probes["fallback"] == 0
+        assert batch_rows == rows("reference")
+        assert len(batch_rows) == 22
 
     @pytest.mark.parametrize("n_words", [1, 2])
     def test_edge_geometries(self, compare_probes, n_words):
@@ -624,8 +740,9 @@ class TestPairLaneKernelPaths:
                 assert len(fc) == (1 if cname.startswith("AF") else 0)
             packed = ctx.detect_class(fc)
             assert len(packed) == len(fc)
-            assert packed.tolist() == [ctx.detect(f) for f in fc], cname
+            assert packed.tolist() == _reference(ctx, fc), cname
         assert compare_probes["pair_lane"] == (0 if n_words == 1 else 8)
+        assert compare_probes["fallback"] == 0
 
 
 def _session(name, width, n_words, seed, misr_width, misr_seed):
@@ -663,8 +780,16 @@ def _session_classes(n_words, width, seed):
     }
 
 
+def _reference_pairs(ctx, faults):
+    """The reference engine's pair verdicts on *ctx*'s session."""
+    return get_engine("reference").detect_aliasing_batch(
+        ctx.test, ctx.prediction, ctx.n_words, ctx.width, ctx.words,
+        list(faults), misr_width=ctx.misr_width, misr_seed=ctx.misr_seed,
+    )
+
+
 class TestSessionClassKernels:
-    """Packed session class kernels == per-fault replay == reference."""
+    """Packed session class kernels == reference."""
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
     @pytest.mark.parametrize("name", ["March C-", "MATS+", *_HAND_WRITTEN])
@@ -684,7 +809,7 @@ class TestSessionClassKernels:
                         continue
                     packed = ctx.detect_class(fc)
                     assert len(packed) == len(fc)
-                    expected = [ctx.detect_pair(f) for f in fc]
+                    expected = _reference_pairs(ctx, fc)
                     assert packed.tolist() == expected, (
                         n, seed, misr_width, misr_seed, cname,
                     )
@@ -789,36 +914,31 @@ class TestSessionClassKernels:
 
 @pytest.fixture
 def session_probes(monkeypatch):
-    """Counts subset-replay constructions, ``_phase_delta`` calls and
-    schedule (weight-plane) builds of the session context."""
-    counts = {"subset": 0, "phase_delta": 0, "schedule": 0}
+    """Counts the batch engine's reference-fallback calls and the
+    session context's schedule (weight-plane) builds."""
+    counts = {"fallback": 0, "schedule": 0}
+    fallback = batch_module._reference_verdicts
+    build_schedule = batch_module._SignatureContext._build_schedule
 
-    class CountingSubsetSim(batch_module._SubsetSim):
-        def __init__(self, *args, **kwargs):
-            counts["subset"] += 1
-            super().__init__(*args, **kwargs)
-
-    context_cls = batch_module._SignatureContext
-    phase_delta = context_cls._phase_delta
-    build_schedule = context_cls._build_schedule
-
-    def counting_phase_delta(self, *args, **kwargs):
-        counts["phase_delta"] += 1
-        return phase_delta(self, *args, **kwargs)
+    def counting_fallback(oracle, *args, **kwargs):
+        counts["fallback"] += 1
+        return fallback(oracle, *args, **kwargs)
 
     def counting_build_schedule(self):
         counts["schedule"] += 1
         return build_schedule(self)
 
-    monkeypatch.setattr(batch_module, "_SubsetSim", CountingSubsetSim)
-    monkeypatch.setattr(context_cls, "_phase_delta", counting_phase_delta)
-    monkeypatch.setattr(context_cls, "_build_schedule", counting_build_schedule)
+    monkeypatch.setattr(batch_module, "_reference_verdicts", counting_fallback)
+    monkeypatch.setattr(
+        batch_module._SignatureContext, "_build_schedule", counting_build_schedule
+    )
     return counts
 
 
 class TestSessionKernelPaths:
-    """Which classes take the packed session kernel, which keep the
-    per-fault replay — with identical verdicts either way."""
+    """Which fault sequences take the session lanes and which the one
+    reference fallback — with the reference engine's verdicts either
+    way."""
 
     N, W = 4, 4
 
@@ -851,51 +971,52 @@ class TestSessionKernelPaths:
                 run_campaign(flow, kernel, runner=runner)
                 for flow in self._flows(twm.twmarch, twm.prediction)
             ]
-        # Word lanes and pair lanes alike: no subset replay at all.
-        assert session_probes["subset"] == 0
-        assert session_probes["phase_delta"] == 0
         # Signature then aliasing on one runner: one context build,
         # reused by the aliasing pass, and one weight-plane build.
         assert [r.context_stats.builds for r in reports] == [1, 0]
         assert session_probes["schedule"] == 1
-        # Cross-bit inter-word CF keeps the per-fault replay.
-        cross = InterWordCFClass(
-            self.N, self.W, "CFst", same_bit_only=False,
-            max_pairs=6, rng=random.Random(4),
-        )
-        run_campaign(
-            self._flows(twm.twmarch, twm.prediction)[1],
-            {"CFst-cross": cross},
-            engine="batch",
-        )
-        assert session_probes["subset"] == len(cross)
-        assert session_probes["phase_delta"] == 2 * len(cross)
+        # Cross-bit inter-word CF takes pair lanes too.
+        cross = {
+            "CFst-cross": InterWordCFClass(
+                self.N, self.W, "CFst", same_bit_only=False,
+                max_pairs=6, rng=random.Random(4),
+            )
+        }
+        flow = self._flows(twm.twmarch, twm.prediction)[1]
+        lanes = run_campaign(flow, cross, engine="batch")
+        assert session_probes["fallback"] == 0
+        ref = run_campaign(flow, cross, engine="reference")
+        assert lanes.aliasing_vector() == ref.aliasing_vector()
+        assert lanes.undetected == ref.undetected
 
-    def test_materialized_lists_keep_per_fault_path(self, session_probes):
+    def test_materialized_lists_take_lanes(self, session_probes):
         twm = twm_transform(catalog.get("March C-"), self.W)
         streaming = self._universe()
         lists = {name: list(fc) for name, fc in streaming.items()}
         for flow in self._flows(twm.twmarch, twm.prediction):
             fast = run_campaign(flow, streaming, engine="batch")
-            assert session_probes["phase_delta"] == 0
             slow = run_campaign(flow, lists, engine="batch")
-            assert session_probes["phase_delta"] > 0
-            session_probes["phase_delta"] = 0
-            assert fast.coverage_vector() == slow.coverage_vector()
-            assert fast.aliasing_vector() == slow.aliasing_vector()
-            assert fast.undetected == slow.undetected
+            ref = run_campaign(flow, lists, engine="reference")
+            for report in (slow, ref):
+                assert fast.coverage_vector() == report.coverage_vector()
+                assert fast.aliasing_vector() == report.aliasing_vector()
+                assert fast.undetected == report.undetected
+        assert session_probes["fallback"] == 0
 
-    def _per_fault_equal(self, ctx, engine_args, fc, kwargs):
+    def _reference_equal(self, engine_args, fc, kwargs):
         batch = get_engine("batch")
         pairs = batch.detect_class_aliasing_batch(*engine_args, fc, **kwargs)
         signature = batch.detect_class_signature_batch(
             *engine_args, fc, **kwargs
         )
-        expected = [ctx.detect_pair(f) for f in fc]
+        kwargs = {k: v for k, v in kwargs.items() if k != "context"}
+        expected = get_engine("reference").detect_aliasing_batch(
+            *engine_args, list(fc), **kwargs
+        )
         assert pairs.tolist() == expected
         assert signature.tolist() == [s for _, s in expected]
 
-    def test_mismatched_geometry_keeps_per_fault_path(self, session_probes):
+    def test_mismatched_geometry_takes_lanes(self, session_probes):
         twm = twm_transform(catalog.get("March C-"), self.W)
         words = _words(self.N, self.W, seed=6)
         args = (twm.twmarch, twm.prediction, self.N, self.W, words)
@@ -913,12 +1034,9 @@ class TestSessionKernelPaths:
             ),
         ):
             assert not ctx.has_class_kernel(fc)
-            before = session_probes["phase_delta"]
-            self._per_fault_equal(
-                ctx, args, fc, {"misr_width": 3, "context": ctx}
-            )
-            assert session_probes["phase_delta"] > before
-        assert session_probes["schedule"] == 0
+            assert ctx.detect_class(fc) is not None
+            self._reference_equal(args, fc, {"misr_width": 3, "context": ctx})
+        assert session_probes["fallback"] == 0
 
     def test_ill_formed_test_keeps_per_fault_path(self, session_probes):
         # Reads before initializing: the fault-free test stream already
@@ -932,11 +1050,13 @@ class TestSessionKernelPaths:
         args = (test, prediction, self.N, self.W, words)
         ctx = get_engine("batch").build_session_context(*args, misr_width=3)
         assert ctx.test_mismatch_addrs
-        for fc in _session_classes(self.N, self.W, 2).values():
-            assert not ctx.has_class_kernel(fc)
-            self._per_fault_equal(ctx, args, fc, {"misr_width": 3})
+        classes = _session_classes(self.N, self.W, 2)
+        for fc in classes.values():
+            assert ctx.detect_class(fc) is None
+            self._reference_equal(args, fc, {"misr_width": 3})
+        # One fallback per oracle call: aliasing and signature.
+        assert session_probes["fallback"] == 2 * len(classes)
         assert session_probes["schedule"] == 0
-        assert session_probes["subset"] > 0
 
     def test_underivable_program_keeps_per_fault_path(self, session_probes):
         from repro.core.notation import parse_march
@@ -956,7 +1076,16 @@ class TestSessionKernelPaths:
                 batch.detect_class_aliasing_batch(*args, fc)
             with pytest.raises(ExecutionError):
                 batch.detect_class_signature_batch(*args, fc)
+        assert session_probes["fallback"] == 2 * (1 + len(pair_lane))
         assert session_probes["schedule"] == 0
+
+    def test_user_defined_fault_kind_takes_reference(self, session_probes):
+        twm = twm_transform(catalog.get("March C-"), self.W)
+        words = _words(self.N, self.W, seed=3)
+        args = (twm.twmarch, twm.prediction, self.N, self.W, words)
+        faults = [*TransitionClass(self.N, self.W)[:4], _WeirdFault()]
+        self._reference_equal(args, faults, {"misr_width": 3})
+        assert session_probes["fallback"] == 2
 
     @pytest.mark.parametrize("n_words", [1, 2])
     def test_edge_geometries(self, session_probes, n_words):
@@ -969,9 +1098,8 @@ class TestSessionKernelPaths:
             assert ctx.has_class_kernel(fc) == (len(fc) > 0), cname
             if len(fc):
                 packed = ctx.detect_class(fc)
-                assert session_probes["phase_delta"] == 0
-                assert packed.tolist() == [ctx.detect_pair(f) for f in fc]
-                session_probes["phase_delta"] = 0
+                assert packed.tolist() == _reference_pairs(ctx, fc)
+        assert session_probes["fallback"] == 0
 
 
 class TestSymbolicFamilyTables:
