@@ -30,10 +30,12 @@ Per fault class (compare oracle / two-phase session oracles):
     per stuck value.
 ``TF`` / ``RDF`` / ``DRDF``
     one packed-plane pass per variant (rising/falling, plain/deceptive),
-    in both oracles.
+    in both oracles; compare passes run over content lanes (one lane
+    per distinct initial word value, :meth:`_CampaignContext._content`).
 ``CFst`` / ``CFid`` / ``CFin`` intra-word
-    one packed pass per (aggressor bit, variant) with every word as a
-    lane and every other bit of the word a victim, in both oracles.
+    one packed pass per (aggressor bit, variant) with every word (in
+    the compare oracle, every distinct word value) as a lane and every
+    other bit of the word a victim, in both oracles.
 ``CFst`` / ``CFid`` / ``CFin`` inter-word
     one *pair-lane* pass in both oracles — every fault gets its own
     lane holding its aggressor and victim words, visited in address
@@ -86,6 +88,7 @@ interpreter unchanged: the batch acceleration is campaign-level.
 from __future__ import annotations
 
 import functools
+from array import array
 from typing import Callable, NamedTuple, Sequence
 
 from ..memory.faults import (
@@ -193,8 +196,10 @@ class BatchEngine(Engine):
         replayed here — the cache keys prevent it, but a silent
         mismatch would mean silently wrong verdicts.  *program* is the
         context's primary program (the compare program, or the test
-        phase of a session).  ``context.words`` is already masked, so
-        an equal *words* matches without building a masked copy."""
+        phase of a session).  The very list the context was built from
+        matches at once (the flows pass the same one every call);
+        otherwise ``context.words`` is already masked, so an equal
+        *words* matches without building a masked copy."""
         if not isinstance(context, kind):
             raise ExecutionError(
                 f"prebuilt context has type {type(context).__name__}, "
@@ -208,7 +213,8 @@ class BatchEngine(Engine):
             or context.width != program.width
             or own_program != program
             or (
-                context.words != words
+                context.source is not words
+                and context.words != words
                 and context.words != [w & program.word_mask for w in words]
             )
         ):
@@ -387,7 +393,9 @@ class BatchEngine(Engine):
 class _WordLanes:
     """The packed bit-plane layout shared by the compare and session
     contexts: the masked initial content, packed address-major (bit
-    ``addr*width + bit``), plus cached per-lane masks."""
+    ``addr*width + bit``, on first use), plus cached per-lane masks.
+    ``source`` is the caller's word list itself, which
+    :meth:`BatchEngine._check_context` recognizes without a compare."""
 
     def __init__(self, n_words: int, width: int, words: Sequence[int]) -> None:
         if len(words) != n_words:
@@ -395,11 +403,15 @@ class _WordLanes:
         self.n_words = n_words
         self.width = width
         word_mask = (1 << width) - 1
+        self.source = words
         self.words = [w & word_mask for w in words]
-        self._packed = pack_words(self.words, width)
         self._full = (1 << (n_words * width)) - 1
         self._lane_cache: dict[int, int] = {}
         self._fold_cache: dict[tuple[int, int, int], int] = {}
+
+    @functools.cached_property
+    def _packed(self) -> int:
+        return pack_words(self.words, self.width)
 
     def _replicate(self, program: MarchProgram) -> list[list[int]]:
         """Every step mask of *program* replicated across all lanes."""
@@ -526,6 +538,18 @@ class _CampaignContext(_WordLanes):
 
     Planes are computed lazily, at most once each, and reused for every
     fault of the matching class.
+
+    The single-word passes — the fault-free baseline, TF, RDF/DRDF and
+    the intra-word CF broadcasts — run over *content lanes*
+    (:meth:`_content`): one lane per distinct initial word value, not
+    one per address.  Under the compare oracle a fault inside one word
+    sees only that word: every read elsewhere returns fault-free data,
+    every write is a function of the program and the word's own reads,
+    so the word's verdict is a function of (program, initial value).  A
+    pass over lanes is lane-wise, so each address's verdict is its
+    value's lane, which the verdicts reach through a slot→lane map.
+    SAF (content-independent), AF and inter-word CF pair lanes, whose
+    words interact, stay on address lanes.
     """
 
     def __init__(
@@ -542,6 +566,33 @@ class _CampaignContext(_WordLanes):
         self._planes: dict[tuple, int] = {}
         self._saf: tuple[int, int] | None = None
         self._lookups: dict[FaultClass, PlaneVerdicts] = {}
+        self._lanes: "tuple[_CampaignContext, array | None] | None" = None
+
+    def _content(self) -> "tuple[_CampaignContext, array | None]":
+        """``(lanes, map)``: a context over the sorted distinct initial
+        words, and per address the index of its word's lane (``None``
+        for a context whose words are already sorted and distinct,
+        which is its own content lanes).  Built on first use."""
+        if self._lanes is None:
+            values = sorted(set(self.words))
+            if values == self.words:
+                self._lanes = (self, None)
+                return self._lanes
+            if values[-1] < 256:
+                # Byte-sized words map through one table lookup.
+                table = bytearray(256)
+                for lane, value in enumerate(values):
+                    table[value] = lane
+                lane_of = array("B", bytes(self.words).translate(table))
+            else:
+                index = {value: lane for lane, value in enumerate(values)}
+                code = next(
+                    c for c in "BHIL" if len(values) <= 256 ** array(c).itemsize
+                )
+                lane_of = array(code, map(index.__getitem__, self.words))
+            lanes = _CampaignContext(self.program, len(values), values, self.derive)
+            self._lanes = (lanes, lane_of)
+        return self._lanes
 
     def detect_class(self, faults: Sequence[Fault]) -> PlaneVerdicts | None:
         """Verdicts of any fault sequence through the lanes.
@@ -588,13 +639,21 @@ class _CampaignContext(_WordLanes):
                 ),
             )
         if exact and isinstance(fault_class, TransitionClass):
+            # Fault 2*(addr*w + bit) + falling: slot addr, (variant, bit).
             return PlaneVerdicts(
                 len(fault_class),
                 (self._plane("TF", True), self._plane("TF", False)),
+                tuple((falling, bit) for bit in range(w) for falling in (0, 1)),
+                w,
+                lanes=self._content()[1],
             )
         if exact and isinstance(fault_class, ReadDisturbClass):
             return PlaneVerdicts(
-                len(fault_class), (self._plane("RDF", fault_class.deceptive),)
+                len(fault_class),
+                (self._plane("RDF", fault_class.deceptive),),
+                tuple((0, bit) for bit in range(w)),
+                w,
+                lanes=self._content()[1],
             )
         if exact and isinstance(fault_class, IntraWordCFClass) and w > 1:
             return self._intra_cf_class(fault_class)
@@ -618,18 +677,21 @@ class _CampaignContext(_WordLanes):
 
     def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PlaneVerdicts:
         """All intra-word coupling faults of one kind: ``width *
-        variants`` broadcast passes (:meth:`_packed_run`) answer the
-        whole class for every address at once.  Over a clean baseline a
-        pass never mismatches at its aggressor bit, so its plane is
-        handed over as it is (:func:`_intra_cf_places`)."""
+        variants`` broadcast passes (:meth:`_packed_run`) over the
+        content lanes answer the whole class for every address at once.
+        Over a clean baseline a pass never mismatches at its aggressor
+        bit, so its plane is handed over as it is
+        (:func:`_intra_cf_places`)."""
         kind = fault_class.cf_kind
+        lanes, lane_of = self._content()
         planes = [
-            self._packed_run(kind, variant, a_bit)
+            lanes._packed_run(kind, variant, a_bit)
             for a_bit in range(self.width)
             for variant in range(fault_class.variants)
         ]
         return PlaneVerdicts(
-            len(fault_class), planes, _intra_cf_places(fault_class), self.width
+            len(fault_class), planes, _intra_cf_places(fault_class), self.width,
+            lanes=lane_of,
         )
 
     def _af_class(self, fault_class: AddressFaultClass) -> PlaneVerdicts:
@@ -669,8 +731,9 @@ class _CampaignContext(_WordLanes):
         pair-lane pass, lane ``pair_pos * variants + variant``."""
         if not len(fault_class):
             return PlaneVerdicts(0, (0,))
-        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
-        return self._inter_cf(fault_class.cf_kind, cells, range(fault_class.variants))
+        return self._inter_cf(
+            fault_class.cf_kind, fault_class.cells, range(fault_class.variants)
+        )
 
     def _inter_cf(
         self, cf_kind: str, cells: Sequence, variants: Sequence[int]
@@ -741,7 +804,8 @@ class _CampaignContext(_WordLanes):
         every column (``variant`` = deceptive), ``"CFst"``/``"CFid"``/
         ``"CFin"`` the coupling fault (parameter ``variant``) from bit
         *a_bit* of every word onto each other bit of the word
-        (:meth:`_cf_rules`).
+        (:meth:`_cf_rules`).  Runs over this context's own words (the
+        content lanes run it over the distinct values).
         Returns the accumulated mismatch plane for the hypothesised
         cell itself; it keeps accumulating after a first mismatch, which
         is harmless because detection is monotone.
@@ -787,13 +851,15 @@ class _CampaignContext(_WordLanes):
         return det
 
     def _plane(self, kind: str | None, variant) -> int:
-        """:meth:`_packed_run` of a single-cell hypothesis (``None``:
-        the fault-free baseline, whose mismatch plane is zero for every
-        well-formed march test), computed once."""
+        """:meth:`_packed_run` of a single-cell hypothesis over the
+        content lanes (``None``: the fault-free baseline, whose mismatch
+        plane is zero for every well-formed march test), computed
+        once."""
         key = (kind, variant)
         plane = self._planes.get(key)
         if plane is None:
-            plane = self._planes[key] = self._packed_run(kind, variant)
+            lanes, _ = self._content()
+            plane = self._planes[key] = lanes._packed_run(kind, variant)
         return plane
 
     def _saf_planes(self) -> tuple[int, int]:
@@ -1076,8 +1142,9 @@ class _SignatureContext(_WordLanes):
     def _inter_cf_class(self, fault_class: InterWordCFClass) -> PlaneVerdicts:
         """All same-bit inter-word coupling faults of one kind, lane
         ``pair_pos * variants + variant``."""
-        cells = [fault_class.pair_cells(p) for p in range(fault_class.n_pairs)]
-        return self._inter_cf(fault_class.cf_kind, cells, range(fault_class.variants))
+        return self._inter_cf(
+            fault_class.cf_kind, fault_class.cells, range(fault_class.variants)
+        )
 
     def _inter_cf(
         self, cf_kind: str, cells: Sequence, variants: Sequence[int]

@@ -13,25 +13,44 @@ over, together with a layout that places every fault on one bit:
 * the verdict of fault ``i`` is bit ``slot * slot_stride + o_j`` of
   ``planes[p_j]``.
 
-Word lanes (SAF/TF/RDF) hand over one plane per variant, offset 0, one
-bit per cell.  The broadcast intra-word CF kernels hand over one plane
-per (aggressor bit ``a``, variant) pass: slot = address, ``slot_stride
-= width``, and the victim bit is the offset.  The pair-lane kernels (AF,
-inter-word CF) hand over one plane with each lane's verdict at its bit
-0, ``slot_stride`` = the lane stride.  The pair form carries a second
-plane set, ``streams``, in the same layout beside the signature planes.
+The optional slot→lane map ``lanes`` (an :class:`array.array` of
+unsigned lane indices, one per slot) lets many slots share one lane:
+slot ``s`` then reads lane ``lanes[s]`` of the planes, at bit ``lanes[s]
+* slot_stride + o_j``.  Without it, slot = lane.
 
-A kernel must hand over planes with no bit outside the layout; nothing
-is re-masked here.  Counting is then one ``bit_count`` per plane,
-transport (pickling to the pool parent) ships the planes as they are,
-and the undetected-fault sample for reports inverts each plane against
-its own valid bits in a low window of slots.  Indexing decodes on
-demand from bytes of the planes, made once; nothing else iterates.
+The compare kernels of single-word faults (TF, RDF/DRDF, intra-word CF)
+run over *content lanes*, one lane per distinct initial word value, and
+hand over one plane per variant (TF, RDF) or per (aggressor bit ``a``,
+variant) pass (intra-word CF) with the map from address to lane: slot =
+address, ``slot_stride = width``, and the cell's (victim's) bit is the
+offset.  SAF planes and the session kernels' word lanes are per cell:
+one plane per variant, offset 0, one bit per cell.  The pair-lane
+kernels (AF, inter-word CF) hand over one plane with each lane's
+verdict at its bit 0, ``slot_stride`` = the lane stride.  The pair form
+carries a second plane set, ``streams``, in the same layout beside the
+signature planes.
+
+A kernel must hand over planes with no bit outside the layout of its
+lanes; nothing is re-masked here.  Counting is then one ``bit_count``
+per plane, or with a map one per plane and bit ``j`` of the lanes'
+multiplicities (``sum_j popcount(plane & M_j) << j``, ``M_j`` the lanes
+that bit ``j`` of their slot count selects).  Transport (pickling to
+the pool parent) ships the planes and the map as they are.  The
+undetected-fault sample for reports inverts each plane against its own
+valid bits in a low window of slots, or with a map in every lane and
+then finds the slots of the missing lanes in address order.  Indexing
+decodes on demand from bytes of the planes, made once; nothing else
+iterates.
 """
 
 from __future__ import annotations
 
+import functools
+from array import array
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
+
+from .program import pack_words
 
 
 def _valid_mask(slots: int, slot_stride: int) -> int:
@@ -53,14 +72,42 @@ def _lowest_bits(value: int, limit: int) -> list[int]:
     return out
 
 
+# Both caches are keyed by a slot→lane map's bytes and typecode, so the
+# classes of one campaign, which share one map, count it once.
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_counts(lanes: bytes, typecode: str) -> tuple[int, ...]:
+    """How many slots read each lane of a map."""
+    counts = Counter(memoryview(lanes).cast(typecode))
+    return tuple(counts[lane] for lane in range(max(counts, default=-1) + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _multiplicity_masks(
+    lanes: bytes, typecode: str, slot_stride: int
+) -> tuple[int, ...]:
+    """``M_j`` of a map: every ``slot_stride`` bits of the lanes whose
+    slot count has bit ``j`` set."""
+    per_lane = _slot_counts(lanes, typecode)
+    spread = (1 << slot_stride) - 1
+    return tuple(
+        pack_words([(c >> j) & 1 for c in per_lane], slot_stride) * spread
+        for j in range(max(per_lane, default=0).bit_length())
+    )
+
+
 class PlaneVerdicts(Sequence):
     """Verdicts of one fault class: kernel planes plus their layout.
 
     Item access yields a bool, or a ``(stream_hit, signature_hit)``
     tuple in the pair form (``streams`` set); the counters and
-    :meth:`missed_indices` follow the signature planes."""
+    :meth:`missed_indices` follow the signature planes.  *lanes*, when
+    given, maps each slot to the lane of the planes it reads."""
 
-    __slots__ = ("n", "planes", "places", "slot_stride", "streams", "_bytes")
+    __slots__ = (
+        "n", "planes", "places", "slot_stride", "streams", "lanes", "_bytes"
+    )
 
     def __init__(
         self,
@@ -69,6 +116,7 @@ class PlaneVerdicts(Sequence):
         places: Sequence[tuple[int, int]] | None = None,
         slot_stride: int = 1,
         streams: Sequence[int] | None = None,
+        lanes: array | None = None,
     ) -> None:
         self.planes = tuple(planes)
         self.places = (
@@ -80,9 +128,12 @@ class PlaneVerdicts(Sequence):
             raise ValueError("fault count must be a multiple of the layout stride")
         if streams is not None and len(streams) != len(self.planes):
             raise ValueError("stream and signature planes must pair up")
+        if lanes is not None and len(lanes) != n // len(self.places):
+            raise ValueError("the lane map must hold one lane per slot")
         self.n = n
         self.slot_stride = slot_stride
         self.streams = None if streams is None else tuple(streams)
+        self.lanes = lanes
         self._bytes: tuple[list[bytes], list[bytes]] | None = None
 
     @classmethod
@@ -130,7 +181,11 @@ class PlaneVerdicts(Sequence):
         into one class result."""
         signature = stream = offset = 0
         for part in parts:
-            if part.places != ((0, 0),) or part.slot_stride != 1:
+            if (
+                part.places != ((0, 0),)
+                or part.slot_stride != 1
+                or part.lanes is not None
+            ):
                 raise ValueError("concat only supports flat (stride 1) chunks")
             signature |= part.planes[0] << offset
             if part.streams is not None:
@@ -142,7 +197,9 @@ class PlaneVerdicts(Sequence):
     @property
     def signature(self) -> "PlaneVerdicts":
         """The bool verdicts of the signature planes alone."""
-        return PlaneVerdicts(self.n, self.planes, self.places, self.slot_stride)
+        return PlaneVerdicts(
+            self.n, self.planes, self.places, self.slot_stride, lanes=self.lanes
+        )
 
     def __len__(self) -> int:
         return self.n
@@ -159,21 +216,30 @@ class PlaneVerdicts(Sequence):
     def __iter__(self) -> Iterator:
         return iter(self.tolist())
 
+    def _lane_count(self) -> int:
+        """Lanes of the planes: one per slot, or the map's largest + 1."""
+        if self.lanes is None:
+            return self.n // len(self.places)
+        return len(_slot_counts(self.lanes.tobytes(), self.lanes.typecode))
+
     def select(self, indices: Iterable[int]) -> list:
         """The verdicts of the faults at *indices*.  The planes are
         turned into bytes on the first call and kept, so a bit test
         costs O(1) instead of a shift of the whole plane."""
         stride = len(self.places)
         if self._bytes is None:
-            size = (self.n // stride) * self.slot_stride // 8 + 1
+            size = self._lane_count() * self.slot_stride // 8 + 1
             self._bytes = tuple(
                 [plane.to_bytes(size, "little") for plane in planes]
                 for planes in (self.planes, self.streams or ())
             )
         signature, streams = self._bytes
+        lanes = self.lanes
         out = []
         for index in indices:
             slot, j = divmod(index, stride)
+            if lanes is not None:
+                slot = lanes[slot]
             plane, offset = self.places[j]
             byte, shift = divmod(slot * self.slot_stride + offset, 8)
             hit = bool((signature[plane][byte] >> shift) & 1)
@@ -193,21 +259,39 @@ class PlaneVerdicts(Sequence):
     def __reduce__(self):
         return (
             PlaneVerdicts,
-            (self.n, self.planes, self.places, self.slot_stride, self.streams),
+            (
+                self.n, self.planes, self.places, self.slot_stride,
+                self.streams, self.lanes,
+            ),
+        )
+
+    def _popcount(self, planes: Iterable[int]) -> int:
+        """Set layout bits of *planes*, each lane weighted by its slot
+        count under a map."""
+        if self.lanes is None:
+            return sum(plane.bit_count() for plane in planes)
+        masks = _multiplicity_masks(
+            self.lanes.tobytes(), self.lanes.typecode, self.slot_stride
+        )
+        return sum(
+            (plane & mask).bit_count() << j
+            for plane in planes
+            for j, mask in enumerate(masks)
         )
 
     def count(self) -> int:
-        """Detected faults: one popcount per (signature) plane."""
-        return sum(plane.bit_count() for plane in self.planes)
+        """Detected faults: one popcount per (signature) plane, and per
+        multiplicity bit under a map."""
+        return self._popcount(self.planes)
 
     def stream_count(self) -> int:
         """Stream-caught faults (pair form)."""
-        return sum(plane.bit_count() for plane in self.streams)
+        return self._popcount(self.streams)
 
     def aliased_count(self) -> int:
         """Stream-caught faults whose MISR signature still matched."""
-        return sum(
-            (stream & ~signature).bit_count()
+        return self._popcount(
+            stream & ~signature
             for stream, signature in zip(self.streams, self.planes)
         )
 
@@ -234,6 +318,8 @@ class PlaneVerdicts(Sequence):
         offsets: dict[int, int] = {}
         for plane, offset in self.places:
             offsets[plane] = offsets.get(plane, 0) | (1 << offset)
+        if self.lanes is not None:
+            return self._missed_through_lanes(limit, offsets)
         variant = {place: j for j, place in enumerate(self.places)}
         window = -(-limit // stride)
         while True:
@@ -249,6 +335,43 @@ class PlaneVerdicts(Sequence):
             if len(out) >= limit or window == slots:
                 return sorted(out)[:limit]
             window *= 4
+
+    def _missed_through_lanes(
+        self, limit: int, offsets: dict[int, int]
+    ) -> list[int]:
+        """:meth:`missed_indices` under a map.  Every lane's misses (the
+        planes inverted against their valid offsets) fold onto one flag
+        per lane; the map turns the flags into one byte per slot (a
+        table lookup), and only the flagged slots, in ascending order,
+        are decoded until *limit* misses are out."""
+        stride = len(self.places)
+        width = self.slot_stride
+        n_lanes = self._lane_count()
+        valid = _valid_mask(n_lanes, width)
+        missed = 0
+        for plane, mask in offsets.items():
+            missed |= (self.planes[plane] & valid * mask) ^ valid * mask
+        if not missed:
+            return []
+        folded = missed
+        for shift in range(1, width):
+            folded |= missed >> shift
+        # Bit lane*width of *folded* flags the lane: '1' per lane below.
+        flags = format(folded, "b")[::-1].ljust(n_lanes * width, "0")[::width]
+        table = flags.encode()
+        if self.lanes.typecode == "B":
+            per_slot = self.lanes.tobytes().translate(table.ljust(256, b"0"))
+        else:
+            per_slot = bytes(map(table.__getitem__, self.lanes))
+        signature = self if self.streams is None else self.signature
+        out: list[int] = []
+        slot = per_slot.find(b"1")
+        while slot != -1 and len(out) < limit:
+            first = slot * stride
+            hits = signature.select(range(first, first + stride))
+            out.extend(first + j for j, hit in enumerate(hits) if not hit)
+            slot = per_slot.find(b"1", slot + 1)
+        return out[:limit]
 
     def tolist(self) -> list:
         return self.select(range(self.n))

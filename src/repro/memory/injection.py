@@ -4,6 +4,7 @@ plus exhaustive/sampled fault-universe enumerators for campaigns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterable, Iterator, Sequence
@@ -588,6 +589,18 @@ class InterWordCFClass(FaultClass):
         a_addr, rem = divmod(perm, self.n_words - 1)
         v_addr = _second_of_pair(rem, a_addr)
         return Cell(a_addr, a_bit), Cell(v_addr, v_bit)
+
+    @functools.cached_property
+    def cells(self) -> tuple[tuple[Cell, Cell], ...]:
+        """Every cell pair in class order (:meth:`pair_cells`), built
+        once per instance for the pair-lane kernels; left out of the
+        pickled state, which stays the enumeration parameters."""
+        return tuple(map(self.pair_cells, range(self.n_pairs)))
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("cells", None)
+        return state
 
     def _fault_at(self, index: int) -> CouplingFault:
         pair_pos, variant = divmod(index, self.variants)

@@ -210,6 +210,46 @@ class TestContextCache:
             )
             assert warm.tolist() == cold.tolist()
 
+    @pytest.mark.parametrize("mode", ["compare", "session"])
+    def test_own_word_list_skips_the_compare_and_others_are_checked(
+        self, twm, mode
+    ):
+        # The list a context was built from matches by identity, with
+        # no element compare; an equal copy is still compared, and a
+        # list one word apart is refused.
+        engine = get_engine("batch")
+        flow = _flows(twm)["compare" if mode == "compare" else "signature"]
+        words = _NoCompareList(flow.words)
+        _NoCompareList.compares = 0
+        if mode == "compare":
+            ctx = engine.build_compare_context(
+                flow.test, N_WORDS, WIDTH, words
+            )
+
+            def call(content):
+                return engine.detect_class_batch(
+                    flow.test, N_WORDS, WIDTH, content, [], context=ctx
+                )
+        else:
+            ctx = engine.build_session_context(
+                flow.test, flow.prediction, N_WORDS, WIDTH, words,
+                misr_width=flow.misr_width, misr_seed=flow.misr_seed,
+            )
+
+            def call(content):
+                return engine.detect_class_aliasing_batch(
+                    flow.test, flow.prediction, N_WORDS, WIDTH, content, [],
+                    misr_width=flow.misr_width, misr_seed=flow.misr_seed,
+                    context=ctx,
+                )
+        call(words)
+        assert _NoCompareList.compares == 0
+        call(list(flow.words))
+        one_off = list(flow.words)
+        one_off[-1] ^= 1
+        with pytest.raises(ExecutionError, match="context"):
+            call(one_off)
+
     def test_session_context_for_other_prediction_is_rejected(self, twm):
         engine = get_engine("batch")
         flows = _flows(twm)
@@ -237,6 +277,22 @@ class TestContextCache:
         assert total.build_seconds == 0.75
         assert ContextStats(**total.as_dict()).as_dict() == total.as_dict()
         assert "2 built" in total.render()
+
+
+class _NoCompareList(list):
+    """A word list that counts the element compares made against it."""
+
+    compares = 0
+
+    def __eq__(self, other):
+        _NoCompareList.compares += 1
+        return list.__eq__(self, other)
+
+    def __ne__(self, other):
+        _NoCompareList.compares += 1
+        return list.__ne__(self, other)
+
+    __hash__ = None
 
 
 class _CountingInt(int):

@@ -7,9 +7,10 @@ to 5 words) these tests check, family by family, that the container
 answers exactly what the reference interpreter answers fault by fault —
 ``count()``, ``missed_indices`` at limits 1, 16 and all, indexing,
 ``tolist()`` and a pickle round trip — and that no kernel plane carries
-a bit outside its layout (nothing re-masks them downstream).
+a bit outside its lanes' layout (nothing re-masks them downstream).
 
-Families: word lanes (SAF/TF/RDF/DRDF), broadcast intra-word CF, and
+Families: word lanes (SAF/TF/RDF/DRDF; TF/RDF/DRDF on content lanes in
+the compare oracle), broadcast intra-word CF, and
 pair lanes (AF, same-bit inter-word CF), each in the compare oracle and
 in the session (signature + aliasing) oracle.
 """
@@ -121,11 +122,14 @@ def _cases():
 
 
 def _layout_bits(verdicts):
-    """Per plane, the bits the layout places a fault on."""
+    """Per plane, the bits the layout places a fault on, through the
+    slot→lane map when there is one."""
     allowed = [0] * len(verdicts.planes)
     stride = len(verdicts.places)
     for i in range(len(verdicts)):
         slot, j = divmod(i, stride)
+        if verdicts.lanes is not None:
+            slot = verdicts.lanes[slot]
         plane, offset = verdicts.places[j]
         allowed[plane] |= 1 << (slot * verdicts.slot_stride + offset)
     return allowed
@@ -168,9 +172,9 @@ def test_kernel_families_match_reference(kernels_only):
             assert packed.signature.tolist() == hits, where
         restored = pickle.loads(pickle.dumps(packed))
         assert restored.tolist() == expected, where
-        assert (restored.planes, restored.places, restored.streams) == (
-            packed.planes, packed.places, packed.streams,
-        ), where
+        assert (
+            restored.planes, restored.places, restored.streams, restored.lanes
+        ) == (packed.planes, packed.places, packed.streams, packed.lanes), where
     assert seen == {
         f"{family}{oracle}"
         for family in ("word lanes", "broadcast intra CF", "pair lanes")
