@@ -1,4 +1,4 @@
-"""Engine speedup benchmark: reference vs batch vs batch+jobs, all oracles.
+"""Engine speedup benchmark: reference vs batch, all oracles.
 
 Two workloads of the E7 coverage campaign (TWMarch of the chosen test,
 the Section 2 universe plus the RDF/DRDF/AF extension classes):
@@ -9,23 +9,6 @@ the Section 2 universe plus the RDF/DRDF/AF extension classes):
   bit-identical coverage (and aliasing) vectors and reporting the batch
   speedup.  The aliasing legs carry an aliasing-rate column (the
   percentage of stream-detected faults the MISR signature missed).
-* **scaled** — the production-sized memory (>= 64 words by default)
-  that only the batch paths can afford; runs single-process ``batch``
-  against ``batch + jobs`` (persistent-worker campaign runner) per
-  oracle, checking that sharding leaves the reports bit-identical, and
-  a ``batch_jobs_warm`` leg that reuses one runner across repeats so
-  the fully-amortized regime (0 context builds) is measured too.
-* **mixed** — compare + signature + aliasing back to back through one
-  shared runner: the signature and aliasing oracles share a single
-  session context, so the aliasing campaign reports (near-)zero
-  context builds — at most one per worker the pool scheduler never
-  handed a signature chunk, and exactly zero in-process.
-* **chaos** — the scaled compare campaign at ``jobs`` under an
-  injected worker crash, a raising chunk and a corrupt chunk
-  (``repro.engine.chaos.FaultPlan``): the supervised runner must
-  retry/respawn its way to a report **bit-identical** to the
-  undisturbed single-process run, and the leg records the full
-  fault-tolerance accounting (retries, respawns, lost wall-clock).
 * **megaword** — the packed class-kernel headline at ``>= 2^20``
   words: each single-cell class (SAF/TF/RDF/DRDF, millions of faults)
   is answered by one :meth:`detect_class` bitset pass over the
@@ -37,16 +20,16 @@ the Section 2 universe plus the RDF/DRDF/AF extension classes):
   two paths, and a few low-address detected faults are replayed
   through the stop-on-mismatch reference interpreter as ground truth.
 
-Every leg carries the campaign-context cache columns
+Every campaign leg carries the campaign-context cache columns
 (``context_builds`` / ``context_cache_hits`` / ``context_cache_misses``
-/ ``context_build_seconds``), proving context construction is a cached,
-per-worker cost — at most one build per distinct context per process —
-instead of a per-chunk one.
+/ ``context_build_seconds``), proving context construction is a cached
+cost — one build per distinct context per campaign — instead of a
+per-class one.
 
 The batch runs also instrument the engine's one reference fallback to
-prove that no fault class of the standard universe — streaming or
-materialized — is routed through the interpreter, and an ill-formed
-test proves the counter live (``fallback_counter_live``).
+prove that no fault class of the standard universe is routed through
+the interpreter, and an ill-formed test proves the counter live
+(``fallback_counter_live``).
 
 Results are written as machine-readable JSON to ``BENCH_engine.json``
 at the repository root (the tracked perf trajectory) and mirrored to
@@ -56,7 +39,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py
     PYTHONPATH=src python benchmarks/bench_engine_speedup.py \
-        --scaled-words 128 --jobs 8 --repeats 3
+        --words 16 --repeats 3 --skip-megaword
 """
 
 from __future__ import annotations
@@ -76,16 +59,9 @@ from repro.analysis.coverage import (
     run_campaign,
     signature_flow,
 )
-from repro.analysis.reports import counter_rows, render_table
 from repro.core.notation import parse_march
 from repro.core.twm import twm_transform
-from repro.engine import (
-    CampaignRunner,
-    FaultPlan,
-    RetryPolicy,
-    compile_march,
-    get_engine,
-)
+from repro.engine import compile_march, get_engine
 from repro.engine import batch as batch_module
 from repro.library import catalog
 from repro.memory.injection import (
@@ -139,13 +115,8 @@ def counter_is_live(width: int) -> bool:
     return fallbacks.calls > 0
 
 
-def build_workload(args, n_words: int, *, streaming: bool = True):
+def build_workload(args, n_words: int):
     twm = twm_transform(catalog.get(args.test), args.width)
-    # The scaled/mixed legs pass ``streaming=False``: class descriptors
-    # always run inline (sharding them would multiply the context
-    # rebuild cost), so the jobs legs must hand the runner materialized
-    # lists or ``speedup_jobs_vs_batch`` would measure inline execution
-    # instead of the sharded transport it gates.
     universe = standard_fault_universe(
         n_words,
         args.width,
@@ -153,7 +124,6 @@ def build_workload(args, n_words: int, *, streaming: bool = True):
         rng=random.Random(0),
         include_rdf=True,
         include_af=True,
-        streaming=streaming,
     )
     flows = {
         "compare": compare_flow(
@@ -193,25 +163,14 @@ def build_workload(args, n_words: int, *, streaming: bool = True):
     return twm, universe, flows
 
 
-def measure(flow, universe, engine, jobs, repeats, runner=None):
-    """Best-of-*repeats* wall-clock plus the *last* repeat's report.
-
-    The last report is what the leg's context columns describe: for a
-    fresh runner per repeat every report carries the same counters,
-    and with a shared *runner* only the last repeat shows the warm
-    (fully amortized, zero-build) regime the leg exists to measure —
-    the first repeat's cold counters must not leak in just because it
-    happened to be the fastest.
-    """
+def measure(flow, universe, engine, repeats):
+    """Best-of-*repeats* wall-clock plus the last repeat's report (every
+    repeat runs a fresh campaign, so all carry the same counters)."""
     best = float("inf")
     report = None
     for _ in range(repeats):
         started = time.perf_counter()
-        report = (
-            run_campaign(flow, universe, runner=runner)
-            if runner is not None
-            else run_campaign(flow, universe, engine=engine, jobs=jobs)
-        )
+        report = run_campaign(flow, universe, engine=engine)
         best = min(best, time.perf_counter() - started)
     return best, report
 
@@ -228,7 +187,7 @@ def leg(seconds: float, n_faults: int, total_ops: int, report=None) -> dict:
         out["aliased_percent"] = round(report.aliased_percent, 4)
     if report is not None and report.context_stats is not None:
         # Campaign-context cache columns: the amortization trajectory
-        # (builds -> 0 once every worker holds its contexts).
+        # (one build per campaign, a hit for every further class).
         stats = report.context_stats
         out["context_builds"] = stats.builds
         out["context_cache_hits"] = stats.hits
@@ -243,11 +202,6 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=int, default=8)
     parser.add_argument("--words", type=int, default=8,
                         help="base workload size (reference-affordable)")
-    parser.add_argument("--scaled-words", type=int, default=128,
-                        help="scaled workload size (batch paths only); the "
-                        "AF class grows quadratically, so this is where "
-                        "the materialized lists are largest and sharding "
-                        "is measured")
     parser.add_argument("--max-inter-pairs", type=int, default=24)
     parser.add_argument("--misr-width", type=int, default=16)
     parser.add_argument("--narrow-misr-width", type=int, default=2,
@@ -280,11 +234,6 @@ def main(argv=None) -> int:
         "--skip-megaword", action="store_true",
         help="skip the megaword leg (quick local runs)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=max(2, min(4, os.cpu_count() or 1)),
-        help="worker processes for the batch+jobs legs (>= 2 so the "
-        "sharded runner is always exercised)",
-    )
     args = parser.parse_args(argv)
 
     payload = {
@@ -293,7 +242,6 @@ def main(argv=None) -> int:
         "width": args.width,
         "misr_width": args.misr_width,
         "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
         "workloads": {},
         "checks": {},
     }
@@ -317,11 +265,11 @@ def main(argv=None) -> int:
     }
     for mode, flow in flows.items():
         ref_seconds, ref_report = measure(
-            flow, universe, "reference", 1, args.repeats
+            flow, universe, "reference", args.repeats
         )
         with _FallbackCounter() as fallbacks:
             bat_seconds, bat_report = measure(
-                flow, universe, "batch", 1, args.repeats
+                flow, universe, "batch", args.repeats
             )
         identical = (
             ref_report.coverage_vector() == bat_report.coverage_vector()
@@ -336,160 +284,6 @@ def main(argv=None) -> int:
             "batch_reference_fallbacks": fallbacks.calls,
         }
     payload["workloads"]["base"] = base
-
-    # -- scaled workload: batch vs batch+jobs, both oracles -------------
-    _, universe, flows = build_workload(
-        args, args.scaled_words, streaming=False
-    )
-    n_faults = sum(len(faults) for faults in universe.values())
-    total_ops = n_faults * program.op_count * args.scaled_words
-    scaled = {
-        "n_words": args.scaled_words,
-        "n_faults": n_faults,
-        "total_march_ops": total_ops,
-        "modes": {},
-    }
-    for mode, flow in flows.items():
-        if mode == "aliasing_narrow":
-            continue  # shards exactly like "aliasing"; skip the rerun
-        # The counter only sees this process, so it wraps the
-        # single-process leg; the jobs leg executes the identical
-        # per-chunk code path in its workers.
-        with _FallbackCounter() as fallbacks:
-            bat_seconds, bat_report = measure(
-                flow, universe, "batch", 1, args.repeats
-            )
-        par_seconds, par_report = measure(
-            flow, universe, "batch", args.jobs, args.repeats
-        )
-        # Persistent-worker leg: one runner (one pool, one set of
-        # worker context caches) across every repeat — after the first
-        # repeat the workers rebuild nothing.
-        with CampaignRunner("batch", args.jobs) as shared:
-            shared.bind(flow, universe)
-            warm_seconds, warm_report = measure(
-                flow, universe, None, None, max(2, args.repeats),
-                runner=shared,
-            )
-        identical = (
-            bat_report.coverage_vector() == par_report.coverage_vector()
-            and bat_report.aliasing_vector() == par_report.aliasing_vector()
-            and bat_report.undetected == par_report.undetected
-            and bat_report.coverage_vector() == warm_report.coverage_vector()
-            and bat_report.aliasing_vector() == warm_report.aliasing_vector()
-            and bat_report.undetected == warm_report.undetected
-        )
-        ok &= identical and fallbacks.calls == 0
-        scaled["modes"][mode] = {
-            "batch": leg(bat_seconds, n_faults, total_ops, bat_report),
-            "batch_jobs": leg(par_seconds, n_faults, total_ops, par_report),
-            "batch_jobs_warm": leg(
-                warm_seconds, n_faults, total_ops, warm_report
-            ),
-            "speedup_jobs_vs_batch": round(bat_seconds / par_seconds, 2),
-            "speedup_warm_jobs_vs_batch": round(
-                bat_seconds / warm_seconds, 2
-            ),
-            "reports_identical": identical,
-            "batch_reference_fallbacks": fallbacks.calls,
-        }
-    payload["workloads"]["scaled"] = scaled
-
-    # -- mixed workload: three oracles through one persistent runner ----
-    # The signature and aliasing oracles share one session context, so
-    # after the signature campaign the aliasing campaign must build
-    # nothing anywhere — the amortization claim, as a checked number.
-    mixed_modes = ("compare", "signature", "aliasing")
-    mixed = {
-        "n_words": args.scaled_words,
-        "n_faults": n_faults,
-        "modes": {},
-    }
-    aliasing_builds = None
-    with _FallbackCounter() as fallbacks, CampaignRunner(
-        "batch", args.jobs
-    ) as shared:
-        shared.bind([flows[m] for m in mixed_modes], universe)
-        started = time.perf_counter()
-        for mode in mixed_modes:
-            calls_before = fallbacks.calls
-            mixed_report = run_campaign(flows[mode], universe, runner=shared)
-            mixed["modes"][mode] = leg(
-                max(mixed_report.seconds, 1e-9),
-                n_faults,
-                total_ops,
-                mixed_report,
-            )
-            # The counter sees this process (the inline/small-class
-            # path of the shared runner); worker chunks run the
-            # identical per-chunk code, as in the jobs legs above.
-            mixed["modes"][mode]["batch_reference_fallbacks"] = (
-                fallbacks.calls - calls_before
-            )
-            if mode == "aliasing":
-                aliasing_builds = mixed_report.context_stats.builds
-        mixed["seconds_total"] = round(time.perf_counter() - started, 6)
-    mixed["aliasing_context_builds"] = aliasing_builds
-    # A cache regression here is a *context* failure, not a verdict one
-    # — reported via its own checks field, never folded into
-    # all_vectors_identical.  Tolerance: pool scheduling does not
-    # guarantee every worker received a signature chunk, so a cold
-    # worker may legitimately build its session context once during
-    # the aliasing campaign; the per-worker amortization contract is
-    # "at most one build per worker", i.e. <= jobs in total.
-    mixed_ok = aliasing_builds <= args.jobs
-    payload["workloads"]["mixed"] = mixed
-
-    # -- chaos workload: supervised recovery under injected faults ------
-    # Same scaled compare campaign, but the first SAF chunk kills its
-    # worker, the first TF chunk raises, and the first RDF chunk returns
-    # a truncated verdict vector.  No hang event: the deadline path is
-    # covered by the test suite and a 600s sleep has no place in a
-    # bench.  base_delay=0 keeps retries instant — the leg times the
-    # supervision machinery (detection, respawn, re-dispatch, merge),
-    # not the backoff schedule.
-    chaos_plan = FaultPlan.parse("crash:SAF:0,error:TF:0,corrupt:RDF:0")
-    chaos_retry = RetryPolicy(max_attempts=3, base_delay=0.0)
-    clean_seconds, clean_report = measure(
-        flows["compare"], universe, "batch", 1, args.repeats
-    )
-    with CampaignRunner(
-        "batch", args.jobs, retry=chaos_retry, chaos=chaos_plan
-    ) as supervised:
-        supervised.bind(flows["compare"], universe)
-        started = time.perf_counter()
-        chaos_report = run_campaign(
-            flows["compare"], universe, runner=supervised
-        )
-        chaos_seconds = time.perf_counter() - started
-    ft = chaos_report.fault_tolerance
-    recovered = (
-        clean_report.coverage_vector() == chaos_report.coverage_vector()
-        and clean_report.undetected == chaos_report.undetected
-        and ft is not None
-        and ft.crashes >= 1
-        and ft.chunk_errors >= 1
-        and ft.corrupt_chunks >= 1
-        and ft.degraded_chunks == 0
-    )
-    ok &= recovered
-    payload["workloads"]["chaos"] = {
-        "n_words": args.scaled_words,
-        "n_faults": n_faults,
-        "plan": "crash:SAF:0,error:TF:0,corrupt:RDF:0",
-        "clean_batch_seconds": round(clean_seconds, 6),
-        "chaos_jobs_seconds": round(chaos_seconds, 6),
-        "fault_tolerance": ft.as_dict() if ft is not None else None,
-        "recovered_bit_identical": recovered,
-    }
-    if ft is not None and ft.any:
-        print(
-            render_table(
-                ["fault-tolerance counter", "value"],
-                counter_rows(ft.as_dict()),
-                title="chaos leg: supervised recovery accounting",
-            )
-        )
 
     # -- megaword workload: packed class kernels at >= 2^20 words -------
     mega_ok = True
@@ -588,19 +382,6 @@ def main(argv=None) -> int:
         ),
         # The counter behind the zeros above counts a real fallback.
         "fallback_counter_live": counter_live,
-        # The mixed run's aliasing campaign reused the session contexts
-        # the signature campaign built (allowing one cold build per
-        # worker the pool scheduler never handed a signature chunk).
-        "mixed_aliasing_reused_contexts": mixed_ok,
-        # The chaos leg's supervised runner recovered every injected
-        # fault (crash, raising chunk, corrupt chunk) into a report
-        # bit-identical to the undisturbed single-process run.
-        "chaos_recovered": recovered,
-        "single_core_note": (
-            "jobs legs cannot exceed 1x on a single-CPU host"
-            if (os.cpu_count() or 1) < 2
-            else None
-        ),
     }
 
     text = json.dumps(payload, indent=2) + "\n"
@@ -612,13 +393,6 @@ def main(argv=None) -> int:
         print(
             "ERROR: engines disagree on coverage, a fallback was detected "
             "or the fallback counter counts nothing"
-        )
-        return 1
-    if not mixed_ok:
-        print(
-            "ERROR: mixed-mode aliasing campaign rebuilt session contexts "
-            f"({aliasing_builds} builds for {args.jobs} workers; the "
-            "signature campaign should have warmed every cache)"
         )
         return 1
     return 0

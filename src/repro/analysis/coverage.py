@@ -14,11 +14,9 @@ the whole per-class fault sweep is handed to the engine's packed class
 oracle (:meth:`repro.engine.Engine.detect_class_batch` /
 :meth:`~repro.engine.Engine.detect_class_signature_batch` /
 :meth:`~repro.engine.Engine.detect_class_aliasing_batch`), which the
-vectorized batch backend evaluates word-parallel instead of op-by-op.
-With ``jobs=N`` the per-class sweeps are additionally sharded across
-worker processes (:class:`repro.engine.CampaignRunner`) and merged
-back deterministically — ``jobs=1`` and ``jobs=N`` produce
-bit-identical reports.  Every engine is equivalence-tested to produce
+vectorized batch backend evaluates word-parallel instead of op-by-op,
+in-process through a :class:`repro.engine.CampaignRunner` and its
+context cache.  Every engine is equivalence-tested to produce
 bit-identical coverage vectors (see ``tests/test_engine.py``).
 
 An :class:`AliasingFlow` campaign counts *pair verdicts*: each fault
@@ -42,16 +40,7 @@ from typing import Callable, Sequence
 from ..bist.controller import TransparentBist
 from ..bist.executor import run_march
 from ..core.march import MarchTest
-from ..engine import (
-    CampaignRunner,
-    ContextStats,
-    Engine,
-    FaultPlan,
-    FaultToleranceStats,
-    PlaneVerdicts,
-    RetryPolicy,
-    get_engine,
-)
+from ..engine import CampaignRunner, ContextStats, Engine, PlaneVerdicts, get_engine
 from ..memory.faults import Fault
 from ..memory.injection import FaultyMemory
 
@@ -120,16 +109,11 @@ class CampaignReport:
     undetected: dict[str, list[Fault]] = field(default_factory=dict)
     stats: dict[str, ClassStats] = field(default_factory=dict)
     engine: str | None = None
-    jobs: int = 1
     # Campaign-context cache counters of the run (None for bare
     # callable flows, which bypass the engine's batch paths entirely):
     # how many contexts were built, how long the builds took, and how
-    # many chunk/class evaluations hit a warm context instead.
+    # many class evaluations hit a warm context instead.
     context_stats: ContextStats | None = None
-    # What the supervised runner had to do to keep the campaign alive
-    # (retries, respawns, degraded chunks, wall-clock lost) — all zero
-    # on an undisturbed run, None for bare callable flows.
-    fault_tolerance: FaultToleranceStats | None = None
 
     @property
     def total(self) -> int:
@@ -193,8 +177,6 @@ class CampaignReport:
             )
         if self.context_stats is not None:
             lines.append(f"  contexts: {self.context_stats.render()}")
-        if self.fault_tolerance is not None and self.fault_tolerance.any:
-            lines.append(f"  faults: {self.fault_tolerance.render()}")
         return "\n".join(lines)
 
 
@@ -242,11 +224,7 @@ def run_campaign(
     flow_name: str = "flow",
     keep_undetected: int = 16,
     engine: str | Engine | None = None,
-    jobs: int = 1,
     runner: CampaignRunner | None = None,
-    retry: RetryPolicy | None = None,
-    chaos: FaultPlan | None = None,
-    degrade: bool = True,
     progress: ProgressCallback | None = None,
 ) -> CampaignReport:
     """Simulate every fault in *universe* through *flow*.
@@ -257,31 +235,19 @@ def run_campaign(
     :meth:`Engine.detect_signature_batch` for :class:`SignatureFlow`,
     :meth:`Engine.detect_aliasing_batch` for :class:`AliasingFlow`
     (the ``"batch"`` engine vectorizes all three); any other flow falls
-    back to per-fault calls regardless of the engine.  ``jobs > 1``
-    additionally shards each class across that many worker processes
-    with a deterministic merge, so reports are bit-identical to
-    ``jobs=1``.  ``progress`` receives the per-class coverage and
-    timing as soon as each class completes, so long campaigns expose
-    early statistics instead of a single final report.
+    back to per-fault calls regardless of the engine.  ``progress``
+    receives the per-class coverage and timing as soon as each class
+    completes, so long campaigns expose early statistics instead of a
+    single final report.
 
     Batch-path campaigns run through a :class:`CampaignRunner` whose
     context cache amortizes the per-campaign engine state (bit-planes,
-    weight tables, fault-free baselines) across every class and chunk;
-    the counters land in :attr:`CampaignReport.context_stats`.  Pass a
+    weight tables, fault-free baselines) across every class; the
+    counters land in :attr:`CampaignReport.context_stats`.  Pass a
     *runner* to share that state across **several** campaigns — e.g.
-    one per oracle mode over the same session — with persistent worker
-    processes; a caller-supplied runner is left open (close it
-    yourself) and its engine is used when ``engine`` is not given.
-
-    Sharded execution is fault tolerant: chunks are supervised leases,
-    retried per *retry* (a :class:`~repro.engine.RetryPolicy`) when a
-    worker crashes, hangs or corrupts a result, and — unless
-    ``degrade=False`` — run in-process once retries exhaust, so one
-    bad worker degrades throughput, never the report.  *chaos* injects
-    deterministic worker faults (tests/benches).  These three apply
-    when the campaign owns its runner; a shared *runner* carries its
-    own policy.  Whatever supervision did lands in
-    :attr:`CampaignReport.fault_tolerance`.
+    one per oracle mode over the same session; a caller-supplied
+    runner is left open (close it yourself) and its engine is used
+    when ``engine`` is not given.
 
     An :class:`AliasingFlow` yields a *pair-verdict* campaign:
     ``detected`` counts the realistic signature oracle, and every
@@ -310,21 +276,9 @@ def run_campaign(
     if not batched:
         runner = None  # per-fault flows bypass the engine machinery
     elif runner is None:
-        runner = CampaignRunner(
-            eng, jobs, retry=retry, chaos=chaos, degrade=degrade
-        )
+        runner = CampaignRunner(eng)
         owns_runner = True
-    report = CampaignReport(
-        flow_name,
-        engine=eng.name if batched else None,
-        # The runner may demote itself to inline execution (e.g. an
-        # unregistered engine instance); report what actually ran.
-        jobs=runner.jobs if runner is not None else 1,
-    )
-    if runner is not None:
-        # A no-op when a shared runner already bound this flow and
-        # universe (the mixed-mode fast path keeping workers warm).
-        runner.bind(flow, universe)
+    report = CampaignReport(flow_name, engine=eng.name if batched else None)
     try:
         for class_name, faults in universe.items():
             started = time.perf_counter()
@@ -337,9 +291,7 @@ def run_campaign(
                 # verdict bitset, the counters are popcounts, and only
                 # the kept-missed sample (<= keep_undetected) ever
                 # materializes a fault object here.
-                packed = runner.detect_class_packed(
-                    flow, faults, class_name=class_name
-                )
+                packed = runner.detect_class_packed(flow, faults)
                 if len(packed) != len(faults):
                     raise RuntimeError(
                         f"class {class_name!r} returned {len(packed)} "
@@ -400,7 +352,6 @@ def run_campaign(
             # raises — a shared runner must not leak this campaign's
             # counters into the next campaign's attribution.
             report.context_stats = runner.take_stats()
-            report.fault_tolerance = runner.take_fault_stats()
             if owns_runner:
                 runner.close()
     return report
@@ -450,12 +401,11 @@ class CompareFlow:
     """Alias-free compare-oracle flow — and its own campaign work unit.
 
     Calling it with a fault behaves like the classic closure (fresh
-    faulty memory, ``stop_on_mismatch`` march run).  As a frozen,
-    picklable value it is also what :func:`run_campaign` hands to
-    engines and shards: :meth:`context_key` / :meth:`build_context`
-    key and build the amortizable campaign state, and
-    :meth:`run_class` answers a whole fault class through the engine's
-    packed compare kernel.
+    faulty memory, ``stop_on_mismatch`` march run).  As a frozen value
+    it is also what :func:`run_campaign` hands to engines:
+    :meth:`context_key` / :meth:`build_context` key and build the
+    amortizable campaign state, and :meth:`run_class` answers a whole
+    fault class through the engine's packed compare kernel.
     """
 
     test: MarchTest
@@ -549,8 +499,8 @@ class SignatureFlow:
     Calling it with a fault behaves like the classic closure (fresh
     faulty memory, full :class:`TransparentBist` session through
     ``controller``, which validates the test and derives a missing
-    ``prediction``).  As a frozen, picklable value it is also what
-    :func:`run_campaign` hands to engines and shards, evaluated through
+    ``prediction``).  As a frozen value it is also what
+    :func:`run_campaign` hands to engines, evaluated through
     the engine's batched signature oracle.
     """
 

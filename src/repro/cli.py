@@ -11,11 +11,10 @@ Commands
     Run TWM_TA (or the Scheme 1 baseline) and print all artifacts.
 ``complexity [--widths 16,32,64,128] [--tests "March C-,March U"]``
     Regenerate the Table 3 word-size sweep.
-``coverage NAME --width B [--words N] [--seed S] [--engine E] [--jobs J]``
+``coverage NAME --width B [--words N] [--seed S] [--engine E]``
     Fault-simulate the transformed test over the standard universe
     (plus the RDF/DRDF/AF extension classes) through a pluggable
-    engine; ``--jobs N`` shards each fault class across N worker
-    processes with a deterministic merge.  ``--mode signature`` swaps
+    engine, in-process.  ``--mode signature`` swaps
     the alias-free compare oracle for the paper's two-phase MISR
     signature session, and ``--mode aliasing`` runs the same session
     with *pair verdicts*: every class reports stream-detected and
@@ -23,19 +22,12 @@ Commands
     signature coverage, the quantity behind the Section 5 comparison.
     ``--mode`` also takes a comma-separated list (or ``all``): the
     modes run back to back through one persistent runner, whose
-    campaign-context cache (and worker processes, with ``--jobs``)
-    survives across them — every report carries a ``contexts:`` line
-    with the cache's built/hit/miss counters and build seconds.
-    ``--engine symbolic`` evaluates compare-mode campaigns through the
-    width-generic symbolic backend (signature/aliasing modes are
-    width-concrete and rejected with a clear error).  Sharded runs are
-    supervised: ``--chunk-timeout`` bounds each chunk attempt,
-    ``--max-retries`` bounds re-dispatch after worker crashes/hangs,
-    ``--no-degrade`` turns exhausted retries into an error instead of
-    in-process execution, and ``--chaos`` injects deterministic worker
-    faults (e.g. ``crash:SAF:0`` or ``seeded:7:0.3``) for smoke
-    testing the recovery paths; whatever supervision did is printed as
-    a ``faults:`` line.
+    campaign-context cache survives across them — every report carries
+    a ``contexts:`` line with the cache's built/hit/miss counters and
+    build seconds.  ``--engine symbolic`` evaluates compare-mode
+    campaigns through the width-generic symbolic backend
+    (signature/aliasing modes are width-concrete and rejected with a
+    clear error).
 ``table2 [NAME] [--widths 4,8,16,32] [--words N] [--engines reference,batch]``
     Regenerate the paper's Table 2 rows with the symbolic engine — one
     width-generic evaluation per fault shape — and diff every verdict
@@ -48,10 +40,15 @@ Commands
     transparent test running under an idle/duty-cycle budget with the
     degradation ladder (primary test → shorter fallback → widened
     period) when the budget starves it.  The scenario matrix (tests x
-    geometries x arrival rates x fault mixes x schedules) runs through
-    the supervised campaign fabric — ``--jobs``, ``--chaos``,
-    ``--max-retries`` and ``--chunk-timeout`` behave exactly as under
-    ``coverage``, and reports are bit-identical for any jobs count.
+    geometries x arrival rates x fault mixes x schedules) shards across
+    ``--jobs`` supervised worker processes, and reports are
+    bit-identical for any jobs count: ``--chunk-timeout`` bounds each
+    chunk attempt, ``--max-retries`` bounds re-dispatch after worker
+    crashes/hangs, ``--no-degrade`` turns exhausted retries into an
+    error instead of in-process execution, and ``--chaos`` injects
+    deterministic worker faults (e.g. ``crash:soak:0`` or
+    ``seeded:7:0.3``) for smoke testing the recovery paths; whatever
+    supervision did is printed as a ``faults:`` line.
     ``--checkpoint FILE`` banks finished scenarios to JSON and resumes
     from it; ``--max-batches N`` time-boxes one invocation (exit code
     3 marks a partial run).  Every scenario prints its detection-
@@ -228,11 +225,9 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
             )
         universe = {name: universe[name] for name in wanted}
     if args.materialize_classes:
-        # Concrete fault lists shard across workers; the streaming
-        # descriptors they replace always run inline through the class
-        # kernels.  This is the switch that routes the standard
-        # universe through the supervised multi-process fabric — the
-        # chaos/CI smoke path (and a worker-scaling comparison point).
+        # Concrete fault lists instead of streaming descriptors: the
+        # list path of the class kernels, diffed against the
+        # interpreter in CI.
         universe = {name: list(faults) for name, faults in universe.items()}
     flows = {}
     for mode in modes:
@@ -265,22 +260,11 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
             flows[mode] = flow
-    retry = RetryPolicy(
-        max_attempts=args.max_retries + 1, timeout=args.chunk_timeout
-    )
-    chaos = FaultPlan.parse(args.chaos) if args.chaos else None
-    # One persistent runner serves every requested mode: worker
-    # processes and their campaign-context caches survive across the
-    # whole run, so a mixed-mode sweep builds each context once
-    # (signature and aliasing even share one session context).
-    with CampaignRunner(
-        args.engine,
-        args.jobs,
-        retry=retry,
-        chaos=chaos,
-        degrade=not args.no_degrade,
-    ) as runner:
-        runner.bind(list(flows.values()), universe)
+    # One persistent runner serves every requested mode: its
+    # campaign-context cache survives across the whole run, so a
+    # mixed-mode sweep builds each context once (signature and
+    # aliasing even share one session context).
+    with CampaignRunner(args.engine) as runner:
         total_stats = None
         for mode, flow in flows.items():
             report = run_campaign(
@@ -290,9 +274,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
                 runner=runner,
             )
             print(report.render())
-            jobs_note = f", jobs={args.jobs}" if args.jobs > 1 else ""
             print(
-                f"  engine: {args.engine}{jobs_note} "
+                f"  engine: {args.engine} "
                 f"({report.total} faults in {report.seconds:.3f}s)"
             )
             if report.context_stats is not None:
@@ -570,13 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation backend (batch = vectorized campaign engine)",
     )
     coverage.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for sharded campaign execution "
-        "(deterministic: same report for any value)",
-    )
-    coverage.add_argument(
         "--mode",
         default="compare",
         help="detection oracle(s): alias-free 'compare', the two-phase "
@@ -604,43 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--materialize-classes",
         action="store_true",
         help="evaluate the universe as concrete fault lists instead "
-        "of streaming class descriptors; lists shard across --jobs "
-        "workers (descriptors always run inline through the class "
-        "kernels), so this is the path that exercises the supervised "
-        "multi-process fabric — and what --chaos disturbs",
-    )
-    coverage.add_argument(
-        "--chunk-timeout",
-        type=_nonnegative_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt deadline for a sharded chunk; a worker that "
-        "holds a chunk past it is terminated, respawned and the chunk "
-        "retried (default: no deadline)",
-    )
-    coverage.add_argument(
-        "--max-retries",
-        type=_nonnegative_int,
-        default=2,
-        help="re-dispatches a chunk gets after a worker crash, hang "
-        "or corrupt result before it degrades to in-process execution "
-        "(0 = first failure degrades immediately)",
-    )
-    coverage.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="fail the campaign when a chunk exhausts its retries "
-        "instead of running it in-process",
-    )
-    coverage.add_argument(
-        "--chaos",
-        default=None,
-        metavar="PLAN",
-        help="inject deterministic worker faults into the sharded "
-        "fabric: 'kind:class:chunk[:attempt|*]' events (kinds: crash, "
-        "hang, corrupt, error) separated by commas, or "
-        "'seeded:SEED:RATE[:kind|kind]'; recovery statistics appear "
-        "on the faults: line",
+        "of streaming class descriptors (the class kernels' list path)",
     )
 
     soak = sub.add_parser(

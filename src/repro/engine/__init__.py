@@ -15,13 +15,16 @@ Layers (see ``README.md`` in this directory):
   (bit-plane passes for single-cell faults, subset simulation for
   coupling and address-decoder faults, linear-MISR signature and
   pair-verdict aliasing batching, reference fallback otherwise);
+* :mod:`repro.engine.context` — the campaign-context cache and the
+  in-process campaign driver (:class:`CampaignRunner`) that evaluates
+  fault classes through it;
 * :mod:`repro.engine.parallel` — a supervised, lease-based map over
-  worker processes (:class:`SupervisedRunner`) and its fault-campaign
-  client (:class:`CampaignRunner`): chunks dispatched as retryable
-  leases onto respawnable workers, merged back into the deterministic
-  sequential order (with :mod:`repro.engine.retry` bounding recovery
-  and :mod:`repro.engine.chaos` injecting deterministic worker faults
-  for tests and benches).
+  worker processes (:class:`SupervisedRunner`) that shards soak
+  scenario sweeps: chunks dispatched as retryable leases onto
+  respawnable workers, merged back into the deterministic sequential
+  order (with :mod:`repro.engine.retry` bounding recovery and
+  :mod:`repro.engine.chaos` injecting deterministic worker faults for
+  tests and benches).
 
 Select a backend by name wherever an ``engine=`` parameter is accepted
 (``run_campaign``, ``TransparentBist``, the ``coverage`` CLI command)::
@@ -45,15 +48,8 @@ from .base import (
 )
 from .batch import BatchEngine
 from .chaos import ChaosEvent, FaultPlan
-from .context import CampaignContext, ContextCache, ContextStats
-from .parallel import (
-    CampaignRunner,
-    ChunkExhaustedError,
-    ChunkLease,
-    SupervisedRunner,
-    shard_bounds,
-    work_key,
-)
+from .context import CampaignContext, CampaignRunner, ContextCache, ContextStats
+from .parallel import ChunkExhaustedError, ChunkLease, SupervisedRunner, shard_bounds
 from .retry import FaultToleranceStats, RetryPolicy
 from .program import (
     MarchProgram,
@@ -114,5 +110,4 @@ __all__ = [
     "get_engine",
     "register_engine",
     "shard_bounds",
-    "work_key",
 ]

@@ -1,18 +1,20 @@
-"""Deterministic fault injection for the campaign execution fabric.
+"""Deterministic fault injection for the supervised execution fabric.
 
 The repo simulates memory faults; this module injects faults into the
 *simulator's own* execution fabric so the supervised runner
 (:mod:`repro.engine.parallel`) can be tested — and benchmarked — under
 worker loss, hangs and data corruption.  A :class:`FaultPlan` decides,
 purely as a function of ``(class name, chunk ordinal, attempt)``,
-whether a dispatched chunk is disturbed and how:
+whether a dispatched chunk is disturbed and how.  The "class name" is
+the label of the map the chunk belongs to — ``soak`` for scenario
+chunks, the only client of the fabric:
 
 * ``crash`` — the worker process exits hard (``os._exit``) before
   touching the chunk, exactly like an OOM kill or segfault;
 * ``hang`` — the worker sleeps far past any sane chunk deadline, so
   only the supervisor's lease timeout can reclaim it;
-* ``corrupt`` — the worker returns a verdict vector for the *wrong*
-  number of faults, exercising the parent's per-chunk integrity check;
+* ``corrupt`` — the worker returns a result for the *wrong* number of
+  items, exercising the parent's per-chunk integrity check;
 * ``error`` — the chunk raises inside the worker (a "poisoned" chunk:
   with ``attempt=None`` it fails on every attempt and can only be
   recovered by in-process degradation).
@@ -20,9 +22,9 @@ whether a dispatched chunk is disturbed and how:
 Plans are deterministic by construction — explicit events match on
 their fields, and seeded plans hash ``(seed, class, chunk, attempt)``
 through CRC-32 rather than Python's per-process-salted ``hash`` — so a
-chaos campaign is reproducible run to run and process to process, and
-its recovered report can be asserted bit-identical to an undisturbed
-one.
+chaos run is reproducible run to run and process to process, and its
+recovered reports can be asserted bit-identical to an undisturbed
+run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ CHAOS_KINDS = ("crash", "hang", "corrupt", "error")
 
 # How long an injected hang sleeps.  Long enough that only the lease
 # deadline (RetryPolicy.timeout) ever reclaims the worker — a finite
-# bound so a chaos plan without a timeout wedges one campaign, not the
+# bound so a chaos plan without a timeout wedges one sweep, not the
 # interpreter.
 HANG_SECONDS = 600.0
 
@@ -61,7 +63,7 @@ def perform(action: str | None) -> None:
 class ChaosEvent:
     """One planned disturbance of a dispatched chunk.
 
-    ``class_name=None`` matches any fault class; ``attempt=None``
+    ``class_name=None`` matches any map label; ``attempt=None``
     matches every attempt (a chunk poisoned beyond retry), while the
     default ``attempt=1`` disturbs only the first dispatch so the
     retry recovers cleanly.
@@ -139,7 +141,7 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Parse the CLI chaos syntax.
 
-        ``"crash:SAF:0,hang:TF:1"`` — comma-separated
+        ``"crash:soak:0,hang:soak:1"`` — comma-separated
         ``kind:class:chunk[:attempt|*]`` events (``*`` = every attempt,
         i.e. a poisoned chunk); or ``"seeded:SEED:RATE[:kind|kind]"``
         for a seeded random plan.

@@ -4,13 +4,8 @@ Every batch oracle pays a *context* cost before the first fault verdict
 comes out: compile the program(s), mask the initial words, record the
 fault-free read streams, build the MISR weight tables, derive the
 fault-free baseline/mismatch sets.  That cost is per ``(test,
-geometry, words, mode)`` — not per fault class and not per shard chunk
-— yet the sharded runner used to rebuild it from scratch inside every
-chunk, which is exactly why ``jobs=N`` lost to single-process batch on
-the scaled workloads.
-
-This module makes context construction an explicit, cached, amortized
-cost:
+geometry, words, mode)`` — not per fault class — so this module makes
+context construction an explicit, cached, amortized cost:
 
 * :class:`CampaignContext` — one built context: the cache key, the
   owning engine's name, the engine-specific payload (e.g. the batch
@@ -19,39 +14,32 @@ cost:
 * :class:`ContextCache` — a keyed cache of contexts for one engine.
   Keys come from the flows' :meth:`context_key` (test identity,
   geometry, words, mode parameters); the engine is fixed per cache, so
-  the effective key is the issue-spec ``(test, geometry, words, mode,
-  engine)`` tuple.  Signature- and aliasing-mode flows share one
-  ``"session"`` key on purpose: both oracles read the same two-phase
-  session state, so a mixed-mode run builds it once;
+  the effective key is the ``(test, geometry, words, mode, engine)``
+  tuple.  Signature- and aliasing-mode flows share one ``"session"``
+  key on purpose: both oracles read the same two-phase session state,
+  so a mixed-mode run builds it once;
 * :class:`ContextStats` — hit/miss/build counters with build seconds,
-  mergeable across worker processes so campaigns can *prove* the
-  amortization (``CampaignReport.context_stats``, the CLI ``contexts:``
-  line, and the ``context_*`` benchmark columns).
-
-The cache itself is process-local.  :mod:`repro.engine.parallel` keeps
-one per engine in every worker process for the worker's lifetime, so a
-context is built at most once per distinct key per worker and then
-replayed across all chunks, fault classes and modes that share it.
-
-Fault tolerance composes with the amortization: each chunk result
-ships its worker cache's counter delta (``ContextStats.as_dict`` over
-the pipe, merged in the parent), so the accounting survives retries
-and respawns — a respawned worker simply rebuilds its contexts (new
-``builds``), a retried chunk re-reports only the delta its attempt
-actually caused, and a chunk degraded to in-process execution counts
-against the runner's own inline cache.  The supervision counters
-travel the same way (:class:`repro.engine.retry.FaultToleranceStats`,
-``CampaignReport.fault_tolerance``).
+  so campaigns can *prove* the amortization
+  (``CampaignReport.context_stats``, the CLI ``contexts:`` line, and
+  the ``context_*`` benchmark columns);
+* :class:`CampaignRunner` — the campaign driver's handle on one engine
+  and one cache: it evaluates fault classes through flows in-process,
+  and a runner shared by several campaigns replays the contexts the
+  earlier ones built.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+
+from .base import get_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..memory.faults import Fault
     from .base import Engine
+    from .verdicts import PlaneVerdicts
 
 
 @runtime_checkable
@@ -79,11 +67,8 @@ class ContextStats:
     misses: int = 0
     build_seconds: float = 0.0
 
-    def merge(self, other: "ContextStats | dict") -> "ContextStats":
-        """Accumulate *other* (a stats object or its ``as_dict``) into
-        this one and return self."""
-        if isinstance(other, dict):
-            other = ContextStats(**other)
+    def merge(self, other: "ContextStats") -> "ContextStats":
+        """Accumulate *other* into this one and return self."""
         self.builds += other.builds
         self.hits += other.hits
         self.misses += other.misses
@@ -103,15 +88,6 @@ class ContextStats:
         return ContextStats(
             self.builds, self.hits, self.misses, self.build_seconds
         )
-
-    def as_dict(self) -> dict:
-        """Plain-dict form (picklable chunk-result / JSON column)."""
-        return {
-            "builds": self.builds,
-            "hits": self.hits,
-            "misses": self.misses,
-            "build_seconds": self.build_seconds,
-        }
 
     def render(self) -> str:
         return (
@@ -142,8 +118,8 @@ class ContextCache:
 
     Insertion-ordered with FIFO eviction at ``max_contexts`` — campaign
     drivers touch a handful of contexts, so recency bookkeeping would
-    cost more than it saves.  Not thread-safe; each worker process (and
-    the in-process runner) owns its own instance.
+    cost more than it saves.  Not thread-safe; each
+    :class:`CampaignRunner` owns its own instance.
     """
 
     def __init__(self, engine: "Engine", max_contexts: int = 16) -> None:
@@ -165,7 +141,7 @@ class ContextCache:
 
     def take_stats(self) -> ContextStats:
         """Counter increments since the previous ``take_stats`` call —
-        the per-chunk / per-campaign delta the runner aggregates."""
+        the per-campaign delta the runner reports."""
         delta = self._stats.delta(self._cursor)
         self._cursor = self._stats.copy()
         return delta
@@ -193,3 +169,48 @@ class ContextCache:
     def clear(self) -> None:
         """Drop every cached context (counters are kept)."""
         self._contexts.clear()
+
+
+class CampaignRunner:
+    """Evaluates fault classes through flows against one context cache.
+
+    Campaigns run in-process: the packed class kernels answer a whole
+    class — a streaming descriptor or a plain fault list — in a few
+    lane passes over the campaign context, which is built once per
+    runner and key.  A runner is reusable: pass it to several
+    ``run_campaign`` calls (e.g. one per oracle mode) via
+    ``run_campaign(..., runner=...)`` and the later campaigns replay
+    the contexts the earlier ones built.
+    """
+
+    def __init__(self, engine: "str | Engine | None" = None, jobs: int = 1) -> None:
+        # ``jobs`` is the former worker count, kept as the second
+        # positional parameter because the benchmark harness
+        # (``perfbench/workloads.py``) still passes ``1`` there.
+        if jobs != 1:
+            raise ValueError(f"jobs must be 1: campaigns run in-process, got {jobs}")
+        self.engine = get_engine(engine)
+        self._cache = ContextCache(self.engine)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Drop the cached contexts (counters survive for a final
+        :meth:`take_stats`)."""
+        self._cache.clear()
+
+    def take_stats(self) -> ContextStats:
+        """Context-cache counter increments since the previous call.
+        ``run_campaign`` calls this once per campaign, so shared
+        runners report per-campaign stats."""
+        return self._cache.take_stats()
+
+    def detect_class_packed(self, flow, faults: "Sequence[Fault]") -> "PlaneVerdicts":
+        """Packed verdicts of one fault class through *flow*, against
+        the flow's cached context."""
+        ctx = self._cache.get(flow)
+        return flow.run_class(self.engine, faults, context=ctx.payload)

@@ -1,24 +1,17 @@
 """Supervised, lease-based parallel execution.
 
-A compare- or signature-oracle campaign slice is embarrassingly
-parallel: every fault is simulated alone against the same immutable
-``(test, content)`` context, so a per-class fault list can be split
-into contiguous chunks and evaluated on separate processes with no
-shared state.  Soak scenario sweeps are the same shape — each scenario
-is a pure function of its spec.  This module provides
-
-* :class:`SupervisedRunner` — a lazily built pool of supervised worker
-  processes with one generic operation, :meth:`SupervisedRunner.map`:
-  apply a module-level function ``fn(task, start, stop)`` to the
-  ``[start, stop)`` chunks of one picklable task, surviving worker
-  faults, and return the chunk results in order;
-* :class:`CampaignRunner` — the fault-campaign client of that map:
-  it evaluates fault classes through a flow (a frozen
-  :class:`~repro.analysis.coverage.CompareFlow`,
-  :class:`~repro.analysis.coverage.SignatureFlow` or
-  :class:`~repro.analysis.coverage.AliasingFlow`, which is its own work
-  unit), sharding large materialized classes and merging the packed
-  verdicts deterministically.
+A soak scenario sweep is embarrassingly parallel: each scenario is a
+pure function of its spec, so a batch of scenarios can be split into
+contiguous chunks and evaluated on separate processes with no shared
+state.  This module provides :class:`SupervisedRunner` — a lazily built
+pool of supervised worker processes with one generic operation,
+:meth:`SupervisedRunner.map`: apply a module-level function
+``fn(task, start, stop)`` to the ``[start, stop)`` chunks of one
+picklable task, surviving worker faults, and return the chunk results
+in order.  Its client is :func:`repro.soak.run_soak_campaign`; fault
+campaigns run in-process (:class:`repro.engine.context.CampaignRunner`),
+because the packed class kernels answer a whole class in a few lane
+passes that fault-range shards could only repeat per worker.
 
 Fault-tolerant execution fabric
 -------------------------------
@@ -45,29 +38,14 @@ in-process (and when the pool cannot be built at all, every chunk
 does) instead of aborting the run; pass ``degrade=False`` to make
 exhaustion raise instead.  Everything the supervisor did is accounted
 in :class:`~repro.engine.retry.FaultToleranceStats`
-(``CampaignReport.fault_tolerance``, the CLI ``faults:`` line).
+(``SoakCampaignReport.fault_tolerance``, the soak CLI ``faults:``
+line).
 
 An injectable chaos layer (:mod:`repro.engine.chaos`) disturbs
 dispatches deterministically — chunk M of label L crashes, hangs,
-corrupts or raises — keyed by the fault-class name for campaigns and
-by ``soak`` for scenario chunks, so tests, CI and the benchmark can
-prove the recovery paths produce bit-identical reports.
-
-Amortized campaign contexts
----------------------------
-
-The expensive part of a campaign chunk is not the fault verdicts — it
-is the *context*: packed bit-planes, MISR weight tables, fault-free
-baselines.  That context depends only on ``(test, geometry, words,
-mode, engine)``, so every worker process keeps a
-:class:`~repro.engine.context.ContextCache` per engine for its
-lifetime: the first chunk a worker sees for a key builds the context,
-every later chunk — across classes, campaigns and oracles — replays
-it (signature and aliasing flows share one ``"session"`` key on
-purpose).  Chunk results carry the worker caches' counter deltas back
-to the parent, where :meth:`CampaignRunner.take_stats` aggregates them
-with the in-process cache so ``CampaignReport.context_stats`` can
-prove the amortization.
+corrupts or raises — keyed by the map's label (``soak`` for scenario
+chunks), so tests, CI and the benchmark can prove the recovery paths
+produce bit-identical reports.
 
 Determinism contract
 --------------------
@@ -75,36 +53,15 @@ Determinism contract
 ``jobs=1`` and ``jobs=N`` produce bit-identical results — *with or
 without faults in the fabric* — by construction:
 
-* all randomness (initial memory content, fault-universe sampling,
-  scenario seeds) is resolved *before* sharding;
+* all randomness (scenario seeds) is resolved *before* sharding;
 * chunk boundaries depend only on ``(len(items), jobs)``, never on
-  timing; because the enumerators emit faults in address order,
-  contiguous chunks are address-range shards;
+  timing;
 * results are merged back in lease order, recovering the exact
   sequential order regardless of completion order, retries or
   degradation;
 * a chunk is a pure function of ``(fn, task, start, stop)`` — a
   retried attempt, a chunk evaluated on a respawned worker and a
-  degraded in-process run all produce the same result bit for bit;
-* cached contexts are pure precomputations of the flow — a warm
-  replay and a cold build produce the same verdicts (only the cache
-  *counters* differ between runs).
-
-Fork-time snapshot
-------------------
-
-Fault classes are not shipped with their chunks.
-:meth:`CampaignRunner.bind` records the flows and materialized fault
-classes of a campaign (or of a whole mixed-mode run) as a read-only
-snapshot that each worker inherits when it is forked, so a chunk
-travels as a bare ``((flow key, class), start, stop)`` message.
-Re-binding flows and classes the snapshot already holds (the same
-class objects) is a no-op that keeps the pool and its warm context
-caches; a bind that changes the snapshot closes the pool, and the next
-sharded class forks fresh workers from the new one.  Each runner owns
-its snapshot, so interleaved runners never see each other's
-campaigns.  Without fork, campaigns run inline (``jobs`` reports 1);
-soak scenario chunks carry their scenarios by value and still shard.
+  degraded in-process run all produce the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -115,25 +72,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from ..memory.injection import FaultClass
-from .base import Engine, ExecutionError, engine_names, get_engine
+from .base import ExecutionError
 from .chaos import FaultPlan, perform as perform_chaos
-from .context import ContextCache, ContextStats
 from .retry import FaultToleranceStats, RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..memory.faults import Fault
-    from .verdicts import PlaneVerdicts
-
-
-def work_key(flow) -> tuple:
-    """Dispatch identity of a flow: its class plus its context key.
-    Two flows may *share* a context (signature + aliasing share the
-    session state) yet run different oracles, so bound-flow lookup
-    must key on both."""
-    return (type(flow).__name__, flow.context_key())
 
 
 class ChunkExhaustedError(ExecutionError):
@@ -149,8 +92,8 @@ class ChunkLease:
     unacked lease — worker crash, deadline passed, corrupt or raising
     chunk — is re-dispatched with bounded backoff, and chunk purity
     makes the retry bit-identical.  ``index`` is the merge position;
-    ``label`` and ``chunk`` are what the chaos plan keys on (the fault
-    class or ``soak``, and the chunk ordinal within that map).
+    ``label`` and ``chunk`` are what the chaos plan keys on (the map's
+    label, e.g. ``soak``, and the chunk ordinal within that map).
     """
 
     index: int
@@ -177,39 +120,8 @@ class ChunkLease:
 # Worker side
 # ---------------------------------------------------------------------------
 
-# Per-process campaign-context caches, one per engine name, alive for
-# the worker process's lifetime.  The parent process never touches
-# these (its inline path uses the runner's own cache), so forked
-# children start empty.
-_WORKER_CACHES: dict[str, ContextCache] = {}
 
-# The spawning runner's read-only snapshot, installed once at worker
-# start (inherited without pickling under fork).
-_WORKER_STATE: object = None
-
-
-def _worker_cache(engine_name: str) -> ContextCache:
-    cache = _WORKER_CACHES.get(engine_name)
-    if cache is None:
-        cache = ContextCache(get_engine(engine_name))
-        _WORKER_CACHES[engine_name] = cache
-    return cache
-
-
-def _run_fault_chunk(task, start: int, stop: int):
-    """Worker chunk of a fault campaign: evaluate ``[start, stop)`` of
-    a bound class through a bound flow, against the worker's
-    persistent context cache."""
-    key, class_name = task
-    engine_name, flows, classes = _WORKER_STATE
-    flow = flows[key]
-    cache = _worker_cache(engine_name)
-    ctx = cache.get(flow)
-    faults = classes[class_name][start:stop]
-    return flow.run_class(cache.engine, faults, context=ctx.payload)
-
-
-def _worker_main(conn, state) -> None:
+def _worker_main(conn) -> None:
     """Worker process loop: evaluate chunk leases and ship results (or
     failure descriptions) back over the worker's private pipe.
     Module-level so it pickles under both fork and spawn.  A terminal
@@ -218,10 +130,8 @@ def _worker_main(conn, state) -> None:
     printing a traceback.  SIGTERM keeps its default action (a forked
     worker may inherit the CLI's handler): the pool's ``terminate()``
     must kill a worker outright."""
-    global _WORKER_STATE
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _WORKER_STATE = state
     while True:
         try:
             message = conn.recv()
@@ -239,11 +149,7 @@ def _worker_main(conn, state) -> None:
                 stop -= 1
             if action == "error":
                 raise RuntimeError("chaos: injected chunk failure")
-            result = fn(task, start, stop)
-            stats = ContextStats()
-            for cache in _WORKER_CACHES.values():
-                stats.merge(cache.take_stats())
-            reply = ("ok", index, attempt, result, stats.as_dict())
+            reply = ("ok", index, attempt, fn(task, start, stop))
         except Exception as error:  # noqa: BLE001 - shipped to the parent
             reply = ("err", index, attempt, f"{type(error).__name__}: {error}")
         try:
@@ -252,26 +158,25 @@ def _worker_main(conn, state) -> None:
             return  # parent is gone; nothing left to report to
 
 
-def shard_bounds(n_faults: int, n_chunks: int) -> list[tuple[int, int]]:
+def shard_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     """Contiguous, balanced ``[start, stop)`` chunk bounds.
 
     Sizes differ by at most one, larger chunks first; depends only on
     the arguments, so the shard layout is reproducible.
     """
-    n_chunks = max(1, min(n_chunks, n_faults)) if n_faults else 0
+    n_chunks = max(1, min(n_chunks, n_items)) if n_items else 0
     bounds = []
     start = 0
     for i in range(n_chunks):
-        size = n_faults // n_chunks + (1 if i < n_faults % n_chunks else 0)
+        size = n_items // n_chunks + (1 if i < n_items % n_chunks else 0)
         bounds.append((start, start + size))
         start += size
     return bounds
 
 
 def _pool_context():
-    """Prefer fork (cheap, inherits the engine registry and the
-    runner's snapshot); fall back to the platform default where fork
-    does not exist."""
+    """Prefer fork (cheap, inherits the imported modules); fall back to
+    the platform default where fork does not exist."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -308,7 +213,6 @@ class _SupervisedPool:
         self,
         jobs: int,
         mp_context,
-        state,
         stats: FaultToleranceStats,
         retry: RetryPolicy,
         chaos: "FaultPlan | None",
@@ -316,7 +220,6 @@ class _SupervisedPool:
     ) -> None:
         self._jobs = jobs
         self._context = mp_context
-        self._state = state
         self._stats = stats
         self._retry = retry
         self._chaos = chaos
@@ -338,7 +241,7 @@ class _SupervisedPool:
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_main, args=(child_conn, self._state), daemon=True
+            target=_worker_main, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
@@ -377,7 +280,7 @@ class _SupervisedPool:
 
     def close(self) -> None:
         """Stop every worker; never raises (teardown must not mask a
-        campaign error or an interpreter-shutdown sequence)."""
+        sweep error or an interpreter-shutdown sequence)."""
         for worker in list(self._workers):
             try:
                 worker.conn.send(None)
@@ -401,8 +304,8 @@ class _SupervisedPool:
         leases: "list[ChunkLease]",
         run_inline: "Callable[[ChunkLease], object]",
     ) -> list:
-        """Execute every lease to acknowledgement and return
-        ``[(result, stats_delta_or_None), ...]`` in lease order.
+        """Execute every lease to acknowledgement and return the
+        results in lease order.
 
         Completion order never matters: results are keyed by lease
         index, so retries, respawns and degradations cannot perturb
@@ -541,7 +444,7 @@ class _SupervisedPool:
             self._stats.chunk_errors += 1
             self._retry_or_degrade(lease, message[3])
             return
-        result, stats = message[3:]
+        result = message[3]
         if len(result) != lease.size:
             self._stats.corrupt_chunks += 1
             self._retry_or_degrade(
@@ -549,7 +452,7 @@ class _SupervisedPool:
                 f"corrupt chunk: {len(result)} results for {lease.size} items",
             )
             return
-        self._results[lease.index] = (result, stats)
+        self._results[lease.index] = result
 
     def _reap(self) -> None:
         now = time.monotonic()
@@ -603,7 +506,7 @@ class _SupervisedPool:
                 "chunks in-process, or raise --max-retries)"
             )
         self._stats.degraded_chunks += 1
-        self._results[lease.index] = (self._run_inline(lease), None)
+        self._results[lease.index] = self._run_inline(lease)
 
 
 class SupervisedRunner:
@@ -640,11 +543,9 @@ class SupervisedRunner:
         self.chaos = chaos
         self.degrade = degrade
         self._context = _pool_context()
-        self._state: object = None
         self._pool: "_SupervisedPool | None" = None
         self._pool_broken = False
         self._fault_stats = FaultToleranceStats()
-        self._worker_stats = ContextStats()
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self):
@@ -707,14 +608,9 @@ class SupervisedRunner:
             ChunkLease(index, task, label, index, start, stop)
             for index, (start, stop) in enumerate(bounds)
         ]
-        parts = []
-        for result, stats in pool.run_leases(
+        return pool.run_leases(
             fn, leases, lambda lease: inline(lease.start, lease.stop)
-        ):
-            parts.append(result)
-            if stats is not None:
-                self._worker_stats.merge(stats)
-        return parts
+        )
 
     def _ensure_pool(self) -> "_SupervisedPool | None":
         if self._pool is not None:
@@ -730,7 +626,6 @@ class SupervisedRunner:
             self._pool = _SupervisedPool(
                 self.jobs,
                 self._context,
-                self._state,
                 self._fault_stats,
                 self.retry,
                 self.chaos,
@@ -744,134 +639,3 @@ class SupervisedRunner:
             self._pool_broken = True
             self._fault_stats.pool_failures += 1
         return self._pool
-
-
-class CampaignRunner(SupervisedRunner):
-    """Evaluates fault classes through flows, sharding large ones.
-
-    Materialized classes of at least ``min_chunk * 2`` faults that a
-    prior :meth:`bind` snapshotted are split into contiguous chunks and
-    mapped over the supervised pool; everything else — small classes,
-    streaming :class:`~repro.memory.injection.FaultClass` descriptors
-    (whose packed class kernels answer the whole class in a few passes
-    over state each worker would have to rebuild), unbound classes —
-    runs inline through the runner's own context cache.
-
-    A runner is reusable: pass it to several ``run_campaign`` calls
-    (e.g. one per oracle mode) via ``run_campaign(..., runner=...)``.
-    Bind every mode's flow up front — ``runner.bind([f1, f2, f3],
-    universe)`` — and the pool, its workers and their warm context
-    caches survive across the whole mixed-mode run.
-    """
-
-    def __init__(
-        self,
-        engine: "str | Engine | None" = None,
-        jobs: int = 1,
-        *,
-        chunks_per_job: int = 4,
-        min_chunk: int = 64,
-        max_contexts: int = 16,
-        retry: "RetryPolicy | None" = None,
-        chaos: "FaultPlan | None" = None,
-        degrade: bool = True,
-    ) -> None:
-        super().__init__(jobs, retry=retry, chaos=chaos, degrade=degrade)
-        self.engine = get_engine(engine)
-        # Workers rehydrate the engine by name and inherit the bound
-        # classes at fork: an unregistered engine instance, or a
-        # platform without fork, runs inline instead.
-        if (
-            self.engine.name not in engine_names()
-            or self._context.get_start_method() != "fork"
-        ):
-            self.jobs = 1
-        self.chunks_per_job = chunks_per_job
-        self.min_chunk = min_chunk
-        self._cache = ContextCache(self.engine, max_contexts)
-        self._state = (self.engine.name, {}, {})
-
-    def close(self) -> None:
-        """Shut down the pool, drop the snapshot and the runner's own
-        cached contexts (counters survive for a final take_stats)."""
-        super().close()
-        self._state = (self.engine.name, {}, {})
-        self._cache.clear()
-
-    def take_stats(self) -> ContextStats:
-        """Context-cache counter increments since the previous call:
-        the runner's inline cache plus every worker delta returned with
-        the chunks in between.  ``run_campaign`` calls this once per
-        campaign, so shared runners report per-campaign stats."""
-        stats = self._worker_stats
-        self._worker_stats = ContextStats()
-        return stats.merge(self._cache.take_stats())
-
-    def bind(self, flows, universe: "dict[str, Sequence[Fault]]") -> None:
-        """Snapshot a campaign's flow — or, given a sequence of flows,
-        a whole mixed-mode run — and its materialized fault classes
-        for the workers to inherit at fork.
-
-        A no-op when the snapshot already holds every flow and the
-        very same class objects (so a shared runner keeps its pool and
-        warm caches across campaigns); otherwise the snapshot is
-        replaced and the pool closed, to be re-forked lazily.
-        Streaming class descriptors never shard and are not recorded.
-        """
-        if self.jobs == 1:
-            return
-        flows = list(flows) if isinstance(flows, (list, tuple)) else [flows]
-        engine_name, bound_flows, bound_classes = self._state
-        classes = {
-            name: faults
-            for name, faults in universe.items()
-            if not isinstance(faults, FaultClass)
-        }
-        if all(work_key(flow) in bound_flows for flow in flows) and all(
-            bound_classes.get(name) is faults for name, faults in classes.items()
-        ):
-            return
-        self._state = (
-            engine_name,
-            {work_key(flow): flow for flow in flows},
-            classes,
-        )
-        super().close()
-
-    def detect_class_packed(
-        self,
-        flow,
-        faults: "Sequence[Fault]",
-        *,
-        class_name: str | None = None,
-    ) -> "PlaneVerdicts":
-        """Packed verdict bitset for one fault class, bit-identical to
-        ``flow.run_class(engine, faults)`` executed inline."""
-        if (
-            self.jobs == 1
-            or isinstance(faults, FaultClass)
-            or len(faults) < 2 * self.min_chunk
-        ):
-            return self._run_inline(flow, faults)
-        _, bound_flows, bound_classes = self._state
-        key = work_key(flow)
-        if key not in bound_flows or bound_classes.get(class_name) is not faults:
-            return self._run_inline(flow, faults)
-        bounds = shard_bounds(
-            len(faults),
-            min(self.jobs * self.chunks_per_job, len(faults) // self.min_chunk),
-        )
-        parts = self.map(
-            _run_fault_chunk,
-            (key, class_name),
-            bounds,
-            label=class_name,
-            run_inline=lambda start, stop: self._run_inline(
-                flow, faults[start:stop]
-            ),
-        )
-        return type(parts[0]).concat(parts)
-
-    def _run_inline(self, flow, faults):
-        ctx = self._cache.get(flow)
-        return flow.run_class(self.engine, faults, context=ctx.payload)

@@ -1,4 +1,4 @@
-"""Retry policy and fault-tolerance accounting for supervised campaigns.
+"""Retry policy and fault-tolerance accounting for supervised sweeps.
 
 The lease-based runner (:mod:`repro.engine.parallel`) re-dispatches
 chunks whose worker crashed, hung past its deadline, or returned a
@@ -6,12 +6,12 @@ corrupt result.  :class:`RetryPolicy` bounds that recovery — how many
 attempts a chunk gets, how long each attempt may run, and how the
 re-dispatch backoff grows — and :class:`FaultToleranceStats` accounts
 for everything the supervisor had to do about it, end to end:
-``CampaignReport.fault_tolerance``, the CLI ``faults:`` line, and the
-chaos benchmark leg all read these counters.
+``SoakCampaignReport.fault_tolerance``, the soak CLI ``faults:`` line,
+and the soak benchmark's chaos leg all read these counters.
 
 Retries are safe by the determinism contract: a chunk is a pure
 function of ``(fn, task, start, stop)``, so a re-dispatched attempt
-produces the same verdicts bit for bit, and a recovered campaign is
+produces the same result bit for bit, and a recovered sweep is
 bit-identical to an undisturbed one.
 """
 
@@ -49,7 +49,7 @@ class RetryPolicy:
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before re-dispatching after failed
         *attempt* (1-based): bounded exponential, capped at 30s so a
-        long retry ladder cannot stall a campaign indefinitely."""
+        long retry ladder cannot stall a sweep indefinitely."""
         return min(self.base_delay * (2 ** max(0, attempt - 1)), 30.0)
 
     @property
@@ -59,7 +59,7 @@ class RetryPolicy:
 
 @dataclass
 class FaultToleranceStats:
-    """What the supervisor did to keep a campaign alive.
+    """What the supervisor did to keep a sweep alive.
 
     ``retries`` counts chunk re-dispatches, ``respawns`` replacement
     worker processes, ``degraded_chunks`` chunks that exhausted their
@@ -67,10 +67,10 @@ class FaultToleranceStats:
     wall-clock burned by failed attempts (dispatch to failure
     detection).  The breakdown counters attribute the failures:
     ``crashes`` (worker death), ``timeouts`` (lease deadline passed),
-    ``corrupt_chunks`` (verdict-count mismatch), ``chunk_errors``
+    ``corrupt_chunks`` (result-count mismatch), ``chunk_errors``
     (worker raised), ``pool_failures`` (a worker or pool could not be
     (re)built), ``chaos_injected`` (faults the chaos plan asked for).
-    Mergeable across campaigns exactly like
+    Mergeable across sweeps exactly like
     :class:`~repro.engine.context.ContextStats`.
     """
 

@@ -116,7 +116,7 @@ class SymbolicEngine(Engine):
         With a concrete *width* the verdicts are plain bools — each
         fault is evaluated once, width-generically, then concretized at
         ``(width, words)`` — so the engine drops into ``run_campaign``
-        /"CampaignRunner`` wherever ``reference``/``batch`` do.  With
+        / ``CampaignRunner`` wherever ``reference``/``batch`` do.  With
         ``width=None`` (or ``"symbolic"``) the *words* are ignored and
         the raw :class:`SymbolicVerdict` objects are returned instead.
         ``context`` is accepted for interface compatibility and

@@ -175,25 +175,6 @@ class PlaneVerdicts(Sequence):
             n += 1
         return cls(n, (signature,), streams=(stream,))
 
-    @classmethod
-    def concat(cls, parts: Sequence["PlaneVerdicts"]) -> "PlaneVerdicts":
-        """Join flat (stride 1, one bit per fault) chunk results back
-        into one class result."""
-        signature = stream = offset = 0
-        for part in parts:
-            if (
-                part.places != ((0, 0),)
-                or part.slot_stride != 1
-                or part.lanes is not None
-            ):
-                raise ValueError("concat only supports flat (stride 1) chunks")
-            signature |= part.planes[0] << offset
-            if part.streams is not None:
-                stream |= part.streams[0] << offset
-            offset += part.n
-        paired = bool(parts) and parts[0].streams is not None
-        return cls(offset, (signature,), streams=(stream,) if paired else None)
-
     @property
     def signature(self) -> "PlaneVerdicts":
         """The bool verdicts of the signature planes alone."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Cell:
     """A single bit cell: word address plus bit position."""
 

@@ -359,12 +359,11 @@ class FaultClass(Sequence):
     :class:`Fault`, and iteration yields faults one at a time, so a
     megaword campaign never holds millions of fault objects at once.
     Slicing materializes a plain list (slices are only taken for small
-    windows: chunk shards, kept-missed samples, test fixtures).
+    windows: kept-missed samples, test fixtures).
 
     The class-level batch kernels dispatch on the concrete subclass and
     read the enumeration parameters directly; equality and hashing are
-    by those parameters, so rebinding a :class:`CampaignRunner` with an
-    equal descriptor is recognized as the same universe.
+    by those parameters.
     """
 
     kind = "?"

@@ -12,10 +12,6 @@ Errors are likewise counted on the fly by the session stepper's
 streaming checker (:class:`~repro.bist.scheduler.SessionStepper` with
 ``track_stream=True``); no access trace or expected-data buffer scales
 with uptime.
-
-The entire generator state is the LFSR register (one integer), so a
-checkpointed soak run resumes the traffic stream bit-identically via
-:meth:`LfsrWorkload.state` / :meth:`LfsrWorkload.restore`.
 """
 
 from __future__ import annotations
@@ -63,21 +59,11 @@ class LfsrWorkload:
         seed = seed & ((1 << lfsr_width) - 1)
         self._lfsr = Lfsr(lfsr_width, seed if seed else 1)
 
-    # -- checkpointing -------------------------------------------------
+    # -- state ---------------------------------------------------------
     @property
     def state(self) -> int:
         """The full generator state (one LFSR register)."""
         return self._lfsr.state
-
-    def restore(self, state: int) -> None:
-        """Resume the stream from a previously captured :attr:`state`."""
-        self._lfsr = Lfsr(self._lfsr.width, state)
-
-    def spawn_checker(self) -> "Lfsr":
-        """An independent register at the current state — the checker
-        half of the generator/checker pair for callers that re-derive
-        expected data instead of storing it."""
-        return self._lfsr.copy()
 
     # -- the stream ----------------------------------------------------
     def __call__(

@@ -150,9 +150,25 @@ def _fuzz_cases(gate):
             yield role, text[:cut], fault
 
 
+def test_fuzz_reaches_every_gated_field():
+    # The fuzz mutates the fields present in the committed files, so
+    # every BENCH_FIELDS row must match at least one of them.
+    gate = _gate()
+    payloads = [
+        json.loads((ROOT / f"BENCH_{kind}.json").read_text(encoding="utf-8"))
+        for kind in ("engine", "soak")
+    ]
+    for dotted, _expected, _required in gate.BENCH_FIELDS:
+        assert any(
+            value is not gate._ABSENT
+            for payload in payloads
+            for _trail, value in gate._fields(payload, dotted.split("."))
+        ), dotted
+
+
 def test_fuzzed_bench_files_exit_2(tmp_path, capsys):
     # Wrong-typed fields used to end in a traceback (exit 1): a string
-    # speedup_jobs_vs_batch in a format string, a string cpu_count or
+    # speedup in a format string, a string cpu_count or
     # speedup_batch_vs_reference in a comparison, a null soak rate.
     gate = _gate()
     committed = {

@@ -1,10 +1,11 @@
-"""Fault-tolerant campaign runtime tests: chaos plans, retry policy,
+"""Fault-tolerant execution fabric tests: chaos plans, retry policy,
 supervised recovery, and graceful degradation.
 
-The core contract under test: a sharded campaign disturbed by injected
-worker faults (crash / hang / corrupt / poisoned chunks) recovers to a
-report **bit-identical** to an undisturbed ``jobs=1`` run, with every
-intervention accounted in ``CampaignReport.fault_tolerance``.
+The core contract under test: a sharded soak sweep disturbed by
+injected worker faults (crash / hang / corrupt / poisoned chunks)
+recovers to reports **bit-identical** to an undisturbed ``jobs=1``
+run, with every intervention accounted in
+``SoakCampaignReport.fault_tolerance``.
 """
 
 import multiprocessing
@@ -13,15 +14,15 @@ import random
 import pytest
 
 from repro.analysis.coverage import compare_flow, run_campaign
+from repro.analysis.soak import render_soak_campaign
 from repro.core.twm import twm_transform
 from repro.engine import (
-    CampaignRunner,
     ChaosEvent,
     ChunkExhaustedError,
     FaultPlan,
     FaultToleranceStats,
     RetryPolicy,
-    get_engine,
+    SupervisedRunner,
 )
 from repro.engine import parallel as parallel_module
 from repro.library import catalog
@@ -29,37 +30,22 @@ from repro.memory.injection import standard_fault_universe
 from repro.soak import run_soak_campaign, scenario_matrix
 
 # Fast per-attempt deadline for hang tests: long enough that a healthy
-# chunk (milliseconds) never trips it on a loaded CI host, short
-# enough to keep the suite quick.
+# chunk (tens of milliseconds) never trips it on a loaded CI host,
+# short enough to keep the suite quick.
 TIMEOUT = 2.0
 
 
-def materialized_universe(n_words=4, width=4, seed=7, classes=("SAF", "TF")):
-    """Concrete fault lists (streaming descriptors never shard, so
-    chaos tests need materialized classes)."""
-    universe = standard_fault_universe(
-        n_words, width, max_inter_pairs=4, rng=random.Random(seed)
+def soak_matrix():
+    """Four short scenarios: one batch, two chunks (chunk 0 and chunk 1
+    of label ``soak``) at ``jobs=2``."""
+    return scenario_matrix(
+        geometries=((8, 8), (16, 8)), rates=(2.0, 4.0), cycles=4_000, seed=1
     )
-    return {name: list(universe[name]) for name in classes}
 
 
-def make_flow(width=4, n_words=4, seed=7):
-    twm = twm_transform(catalog.get("March C-"), width)
-    return compare_flow(twm.twmarch, n_words, width, initial=None, seed=seed)
-
-
-def sharded_runner(**kwargs):
-    """A jobs=2 runner with chunks small enough that every test class
-    really shards (32 SAF faults / min_chunk 4 -> 8 chunks)."""
-    kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("min_chunk", 4)
-    return CampaignRunner("batch", **kwargs)
-
-
-def reports_equal(a, b):
-    assert a.coverage_vector() == b.coverage_vector()
-    assert list(a.classes) == list(b.classes)
-    assert a.undetected == b.undetected
+def squares(values, start, stop):
+    """A module-level chunk function for direct ``map`` tests."""
+    return [value * value for value in values[start:stop]]
 
 
 class TestRetryPolicy:
@@ -177,28 +163,24 @@ class TestFaultToleranceStats:
 
 
 class TestChaosRecovery:
-    """Disturbed sharded campaigns recover bit-identically."""
+    """Disturbed sharded soak sweeps recover bit-identically."""
 
-    def run_pair(self, chaos, retry, classes=("SAF", "TF"), degrade=True):
-        universe = materialized_universe(classes=classes)
-        flow = make_flow()
-        baseline = run_campaign(flow, universe, engine="batch", jobs=1)
-        runner = sharded_runner(retry=retry, chaos=chaos, degrade=degrade)
-        try:
-            disturbed = run_campaign(flow, universe, runner=runner)
-        finally:
-            runner.close()
-        return baseline, disturbed
+    def run_pair(self, chaos, retry, degrade=True):
+        matrix = soak_matrix()
+        baseline = run_soak_campaign(matrix, jobs=1)
+        disturbed = run_soak_campaign(
+            matrix, jobs=2, retry=retry, chaos=chaos, degrade=degrade
+        )
+        assert disturbed.reports == baseline.reports
+        return disturbed.fault_tolerance, disturbed
 
     def test_crash_and_hang_recover_bit_identical(self):
-        # The issue's acceptance scenario: one injected worker crash
-        # AND one injected chunk hang at jobs=2, recovered to a report
-        # bit-identical to the undisturbed jobs=1 run.
-        chaos = FaultPlan.parse("crash:SAF:0,hang:TF:0")
+        # One injected worker crash AND one injected chunk hang at
+        # jobs=2, recovered to reports bit-identical to the
+        # undisturbed jobs=1 run.
+        chaos = FaultPlan.parse("crash:soak:0,hang:soak:1")
         retry = RetryPolicy(max_attempts=3, base_delay=0.01, timeout=TIMEOUT)
-        baseline, disturbed = self.run_pair(chaos, retry)
-        reports_equal(baseline, disturbed)
-        ft = disturbed.fault_tolerance
+        ft, disturbed = self.run_pair(chaos, retry)
         assert ft.crashes >= 1
         assert ft.timeouts >= 1
         assert ft.retries >= 2
@@ -206,76 +188,66 @@ class TestChaosRecovery:
         assert ft.chaos_injected == 2
         assert ft.degraded_chunks == 0
         assert ft.lost_seconds > 0
-        assert "retries" in disturbed.render()  # faults: line surfaced
+        assert "retries" in render_soak_campaign(disturbed)  # faults: line
 
     def test_corrupt_chunk_is_detected_and_retried(self):
-        chaos = FaultPlan.parse("corrupt:SAF:1")
+        chaos = FaultPlan.parse("corrupt:soak:1")
         retry = RetryPolicy(max_attempts=2, base_delay=0.0)
-        baseline, disturbed = self.run_pair(chaos, retry, classes=("SAF",))
-        reports_equal(baseline, disturbed)
-        assert disturbed.fault_tolerance.corrupt_chunks == 1
-        assert disturbed.fault_tolerance.retries == 1
+        ft, _ = self.run_pair(chaos, retry)
+        assert ft.corrupt_chunks == 1
+        assert ft.retries == 1
 
     def test_worker_error_is_retried(self):
-        chaos = FaultPlan.parse("error:TF:2")
+        chaos = FaultPlan.parse("error:soak:1")
         retry = RetryPolicy(max_attempts=2, base_delay=0.0)
-        baseline, disturbed = self.run_pair(chaos, retry, classes=("TF",))
-        reports_equal(baseline, disturbed)
-        assert disturbed.fault_tolerance.chunk_errors == 1
+        ft, _ = self.run_pair(chaos, retry)
+        assert ft.chunk_errors == 1
 
     def test_poisoned_chunk_degrades_in_process(self):
         # attempt=* fails on every dispatch; only in-process
-        # degradation can complete the campaign.
-        chaos = FaultPlan.parse("error:SAF:0:*")
+        # degradation can complete the sweep.
+        chaos = FaultPlan.parse("error:soak:0:*")
         retry = RetryPolicy(max_attempts=3, base_delay=0.0)
-        baseline, disturbed = self.run_pair(chaos, retry, classes=("SAF",))
-        reports_equal(baseline, disturbed)
-        ft = disturbed.fault_tolerance
+        ft, _ = self.run_pair(chaos, retry)
         assert ft.degraded_chunks == 1
         assert ft.retries == 2  # attempts 1..3, then degraded
         assert ft.chunk_errors == 3
 
     def test_zero_retries_degrades_on_first_failure(self):
-        chaos = FaultPlan.parse("crash:SAF:0")
+        chaos = FaultPlan.parse("crash:soak:0")
         retry = RetryPolicy(max_attempts=1, base_delay=0.0)
-        baseline, disturbed = self.run_pair(chaos, retry, classes=("SAF",))
-        reports_equal(baseline, disturbed)
-        ft = disturbed.fault_tolerance
+        ft, _ = self.run_pair(chaos, retry)
         assert ft.retries == 0
         assert ft.degraded_chunks == 1
 
     def test_instant_timeout_degrades_everything(self):
         # timeout=0 expires every attempt immediately: the degenerate
-        # policy that forces the whole class through the in-process
+        # policy that forces the whole batch through the in-process
         # rung — still bit-identical.
         retry = RetryPolicy(max_attempts=1, base_delay=0.0, timeout=0.0)
-        baseline, disturbed = self.run_pair(None, retry, classes=("SAF",))
-        reports_equal(baseline, disturbed)
-        ft = disturbed.fault_tolerance
+        ft, _ = self.run_pair(None, retry)
         assert ft.degraded_chunks > 0
         assert ft.timeouts > 0
 
     def test_no_degrade_raises_chunk_exhausted(self):
-        universe = materialized_universe(classes=("SAF",))
-        flow = make_flow()
-        chaos = FaultPlan.parse("error:SAF:0:*")
-        runner = sharded_runner(
-            retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-            chaos=chaos,
-            degrade=False,
-        )
-        try:
-            with pytest.raises(ChunkExhaustedError, match="2 attempt"):
-                run_campaign(flow, universe, runner=runner)
-        finally:
-            runner.close()
+        chaos = FaultPlan.parse("error:soak:0:*")
+        with pytest.raises(ChunkExhaustedError, match="2 attempt"):
+            run_soak_campaign(
+                soak_matrix(),
+                jobs=2,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                chaos=chaos,
+                degrade=False,
+            )
 
     def test_seeded_chaos_campaign_recovers(self):
-        chaos = FaultPlan.seeded(3, rate=0.4, kinds=("crash", "error"))
+        # Seed 6 disturbs both first dispatches (a crash and an error);
+        # seeded plans never touch retries, so both recover.
+        chaos = FaultPlan.seeded(6, rate=0.4, kinds=("crash", "error"))
         retry = RetryPolicy(max_attempts=3, base_delay=0.0)
-        baseline, disturbed = self.run_pair(chaos, retry)
-        reports_equal(baseline, disturbed)
-        assert disturbed.fault_tolerance.chaos_injected > 0
+        ft, _ = self.run_pair(chaos, retry)
+        assert ft.chaos_injected == 2
+        assert ft.degraded_chunks == 0
 
 
 class TestDegradationLadder:
@@ -285,36 +257,28 @@ class TestDegradationLadder:
                 raise OSError("no more processes")
 
         monkeypatch.setattr(parallel_module, "_SupervisedPool", Unbuildable)
-        universe = materialized_universe(classes=("SAF",))
-        flow = make_flow()
-        baseline = run_campaign(flow, universe, engine="batch", jobs=1)
-        runner = sharded_runner()
-        try:
-            report = run_campaign(flow, universe, runner=runner)
-            # The breakage is remembered for the runner's lifetime: no
-            # rebuild storm on later classes (close() resets it).
-            assert runner._pool_broken
-        finally:
-            runner.close()
-        reports_equal(baseline, report)
+        matrix = soak_matrix()
+        baseline = run_soak_campaign(matrix, jobs=1)
+        # Two batches: the breakage is remembered for the runner's
+        # lifetime, so the second batch does not try to rebuild.
+        report = run_soak_campaign(matrix, jobs=2, batch_size=2)
+        assert report.reports == baseline.reports
         assert report.fault_tolerance.pool_failures == 1
 
     def test_runner_close_is_idempotent(self):
-        runner = sharded_runner()
-        universe = materialized_universe(classes=("SAF",))
-        flow = make_flow()
-        runner.bind(flow, universe)
-        runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
+        runner = SupervisedRunner(2)
+        values = list(range(8))
+        assert runner.map(squares, values, [(0, 4), (4, 8)]) == [
+            [0, 1, 4, 9],
+            [16, 25, 36, 49],
+        ]
         runner.close()
         runner.close()  # second close is a no-op, not an error
         assert runner._pool is None
 
     def test_close_survives_dead_pool(self):
-        runner = sharded_runner()
-        universe = materialized_universe(classes=("SAF",))
-        flow = make_flow()
-        runner.bind(flow, universe)
-        runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
+        runner = SupervisedRunner(2)
+        runner.map(squares, list(range(8)), [(0, 4), (4, 8)])
         # Kill the workers behind the supervisor's back; close() must
         # still succeed (a dead pool never masks the original error).
         for worker in runner._pool._workers:
@@ -324,72 +288,18 @@ class TestDegradationLadder:
         runner.close()
 
 
-def per_fault(flow, faults):
-    """The batch engine's per-fault compare verdicts: the list sharded
-    classes must reproduce."""
-    return get_engine("batch").detect_batch(
-        flow.test, flow.n_words, flow.width, flow.words, faults
-    )
-
-
-class TestIncrementalBind:
-    def test_rebinding_different_universe_keeps_pool(self):
-        if parallel_module._pool_context().get_start_method() != "fork":
-            pytest.skip("zero-copy binding requires fork")
-        flow = make_flow()
-        first = materialized_universe(classes=("SAF", "TF"))
-        second = {"SAF": first["SAF"][:16]}  # changed class + dropped one
-        with sharded_runner() as runner:
-            runner.bind(flow, first)
-            assert runner.detect_class_packed(
-                flow, first["SAF"], class_name="SAF"
-            ).tolist() == per_fault(flow, first["SAF"])
-            runner.bind(flow, second)
-            assert runner.detect_class_packed(
-                flow, second["SAF"], class_name="SAF"
-            ).tolist() == per_fault(flow, second["SAF"])
-
-    def test_rebinding_same_universe_is_noop(self):
-        flow = make_flow()
-        universe = materialized_universe(classes=("SAF",))
-        with sharded_runner() as runner:
-            runner.bind(flow, universe)
-            runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
-            pids = runner._pool.worker_pids()
-            runner.bind(flow, universe)  # same object: identity match
-            runner.detect_class_packed(flow, universe["SAF"], class_name="SAF")
-            assert runner._pool.worker_pids() == pids
-
-    def test_mixed_campaigns_after_rebind_stay_correct(self):
-        flow = make_flow()
-        first = materialized_universe(classes=("SAF", "TF"))
-        with sharded_runner() as runner:
-            runner.bind(flow, first)
-            for name in first:
-                assert runner.detect_class_packed(
-                    flow, first[name], class_name=name
-                ).tolist() == per_fault(flow, first[name]), name
-            second = materialized_universe(seed=23, classes=("SAF", "TF"))
-            runner.bind(flow, second)
-            for name in second:
-                assert runner.detect_class_packed(
-                    flow, second[name], class_name=name
-                ).tolist() == per_fault(flow, second[name]), name
-
-
 def test_spawn_platform_runs_campaigns_inline_and_shards_soak(monkeypatch):
-    # Without fork, workers cannot inherit bound fault classes, so
-    # campaigns run inline; soak chunks carry their scenarios by value
-    # and still shard (the injected crash proves a worker ran chunk 0).
+    # Campaigns never start a worker process; soak chunks carry their
+    # scenarios by value and shard under spawn too (the injected crash
+    # proves a worker ran chunk 0).
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr(parallel_module, "_pool_context", lambda: spawn)
-    universe = materialized_universe(classes=("SAF", "TF"))
-    flow = make_flow()
-    with sharded_runner() as runner:
-        assert runner.jobs == 1
-        report = run_campaign(flow, universe, runner=runner)
-    assert report.jobs == 1
-    reports_equal(run_campaign(flow, universe, engine="batch", jobs=1), report)
+    twm = twm_transform(catalog.get("March C-"), 4)
+    flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=7)
+    universe = standard_fault_universe(4, 4, max_inter_pairs=4, rng=random.Random(7))
+    report = run_campaign(flow, universe, engine="batch")
+    assert report.total == sum(len(faults) for faults in universe.values())
+    assert multiprocessing.active_children() == []
 
     matrix = scenario_matrix(
         geometries=((8, 8),), rates=(2.0, 4.0), cycles=4_000, seed=1

@@ -4,6 +4,15 @@ import pytest
 
 from repro.cli import main
 
+# Two scenarios, so a --jobs 2 sweep really reaches the worker fabric.
+SOAK_SWEEP = [
+    "soak",
+    "--geometries", "8x8,16x8",
+    "--rates", "4",
+    "--cycles", "4000",
+    "--seed", "1",
+]
+
 
 class TestList:
     def test_lists_catalog(self, capsys):
@@ -100,21 +109,15 @@ class TestCoverage:
         assert "aliased" in out
         assert "stream" in out
 
-    def test_aliasing_mode_sharded(self, capsys):
-        assert main(
-            [
-                "coverage",
-                "March C-",
-                "--width", "4",
-                "--words", "3",
-                "--max-inter-pairs", "4",
-                "--mode", "aliasing",
-                "--jobs", "2",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "aliased" in out
-        assert "jobs=2" in out
+    def test_fabric_options_left_coverage_for_soak(self, capsys):
+        # Campaigns run in-process: coverage rejects --jobs like any
+        # unknown option, while soak still shards scenario sweeps.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coverage", "March C-", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert main([*SOAK_SWEEP, "--jobs", "2"]) == 0
+        assert "jobs=2" in capsys.readouterr().out
 
     def test_symbolic_engine(self, capsys):
         assert main(
@@ -145,74 +148,40 @@ class TestCoverage:
         ) == 2
         assert "width-concrete" in capsys.readouterr().err
 
-    def test_chaos_campaign_recovers_and_reports_faults(self, capsys):
-        # A crashed worker on the first SAF chunk is retried onto a
-        # respawned worker; coverage is unchanged and the supervision
-        # is surfaced on the faults: line.
+
+class TestSoakFabric:
+    def test_chaos_sweep_recovers_and_reports_faults(self, capsys):
+        # A crashed worker on the first chunk is retried onto a
+        # respawned worker; the reports are unchanged and the
+        # supervision is surfaced on the faults: line.
+        assert main(SOAK_SWEEP) == 0
+        clean = capsys.readouterr().out.splitlines()[:-1]
         assert main(
-            [
-                "coverage",
-                "March C-",
-                "--width", "8",
-                "--words", "16",
-                "--max-inter-pairs", "4",
-                "--classes", "SAF,TF",
-                "--jobs", "2",
-                "--materialize-classes",
-                "--chaos", "crash:SAF:0",
-                "--max-retries", "2",
-            ]
+            [*SOAK_SWEEP, "--jobs", "2", "--chaos", "crash:soak:0",
+             "--max-retries", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "faults: " in out
         assert "1 crashes" in out
         assert "1 chaos" in out
+        kept = [line for line in out.splitlines() if "faults: " not in line]
+        assert kept[:-1] == clean  # the last line carries the timing
 
     def test_clean_run_prints_no_faults_line(self, capsys):
-        assert main(
-            [
-                "coverage",
-                "March C-",
-                "--width", "8",
-                "--words", "16",
-                "--max-inter-pairs", "4",
-                "--classes", "SAF",
-                "--jobs", "2",
-                "--materialize-classes",
-            ]
-        ) == 0
+        assert main([*SOAK_SWEEP, "--jobs", "2"]) == 0
         assert "faults: " not in capsys.readouterr().out
 
     def test_no_degrade_fails_on_poisoned_chunk(self, capsys):
         # attempt=* poisons the chunk on every dispatch; --no-degrade
         # turns the exhausted retries into a clean exit-2 error.
         assert main(
-            [
-                "coverage",
-                "March C-",
-                "--width", "8",
-                "--words", "16",
-                "--max-inter-pairs", "4",
-                "--classes", "SAF",
-                "--jobs", "2",
-                "--materialize-classes",
-                "--chaos", "error:SAF:0:*",
-                "--max-retries", "1",
-                "--no-degrade",
-            ]
+            [*SOAK_SWEEP, "--jobs", "2", "--chaos", "error:soak:0:*",
+             "--max-retries", "1", "--no-degrade"]
         ) == 2
         assert "degradation disabled" in capsys.readouterr().err
 
     def test_bad_chaos_spec_is_rejected(self, capsys):
-        assert main(
-            [
-                "coverage",
-                "March C-",
-                "--width", "4",
-                "--words", "3",
-                "--chaos", "explode:SAF:0",
-            ]
-        ) == 2
+        assert main([*SOAK_SWEEP, "--chaos", "explode:soak:0"]) == 2
         assert "chaos" in capsys.readouterr().err
 
 

@@ -197,5 +197,3 @@ def test_mapped_counting_and_misses_match_per_slot_scan(typecode):
 def test_lane_map_must_cover_every_slot():
     with pytest.raises(ValueError, match="lane map"):
         PlaneVerdicts(4, (0b11,), lanes=array("B", [0, 1, 0]))
-    with pytest.raises(ValueError, match="flat"):
-        PlaneVerdicts.concat([PlaneVerdicts(2, (0b1,), lanes=array("B", [0, 0]))])

@@ -1,16 +1,14 @@
 """Campaign-context runtime: cache correctness, keying, persistence.
 
-The amortization contract of ``repro.engine.context`` /
-``repro.engine.parallel``:
+The amortization contract of ``repro.engine.context``:
 
 * verdicts are bit-identical whether a campaign context is built cold
   or replayed warm from the cache (a context is a pure precomputation);
 * cache keys separate every input that can change a verdict — words,
   width, geometry, mode — and deliberately *share* the two-phase
   session state between the signature and aliasing oracles;
-* persistent workers build each distinct context at most once per
-  process, across chunks, classes, campaigns and modes, and
-  ``jobs=1`` ≡ ``jobs=N`` stays bit-identical under all of it.
+* a shared :class:`CampaignRunner` builds each distinct context once,
+  across classes, campaigns and modes.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.engine import (
     ContextStats,
     ExecutionError,
     get_engine,
-    work_key,
 )
 from repro.library import catalog
 from repro.memory.injection import standard_fault_universe
@@ -123,10 +120,8 @@ class TestContextCache:
         flows = _flows(twm)
         sig = flows["signature"]
         ali = flows["aliasing"]
-        # Same context (the session state is oracle-agnostic)...
+        # Same context: the session state is oracle-agnostic.
         assert sig.context_key() == ali.context_key()
-        # ...but distinct dispatch identities (different verdict types).
-        assert work_key(sig) != work_key(ali)
         cache = ContextCache(get_engine("batch"))
         ctx = cache.get(sig)
         assert cache.get(ali) is ctx
@@ -271,11 +266,10 @@ class TestContextCache:
     def test_stats_merge_roundtrip(self):
         total = ContextStats()
         total.merge(ContextStats(1, 2, 3, 0.5))
-        total.merge({"builds": 1, "hits": 1, "misses": 1,
-                     "build_seconds": 0.25})
+        total.merge(ContextStats(1, 1, 1, 0.25))
         assert (total.builds, total.hits, total.misses) == (2, 3, 4)
         assert total.build_seconds == 0.75
-        assert ContextStats(**total.as_dict()).as_dict() == total.as_dict()
+        assert total.copy() == total and total.copy() is not total
         assert "2 built" in total.render()
 
 
@@ -360,11 +354,10 @@ class TestPersistentWorkers:
     def test_mixed_mode_shared_runner_is_bit_identical(self, twm, universe):
         flows = _flows(twm)
         baseline = {
-            mode: run_campaign(flow, universe, engine="batch", jobs=1)
+            mode: run_campaign(flow, universe, engine="batch")
             for mode, flow in flows.items()
         }
-        with CampaignRunner("batch", 4, min_chunk=8) as runner:
-            runner.bind(list(flows.values()), universe)
+        with CampaignRunner("batch") as runner:
             shared = {
                 mode: run_campaign(flow, universe, runner=runner)
                 for mode, flow in flows.items()
@@ -380,39 +373,27 @@ class TestPersistentWorkers:
                 == baseline[mode].aliasing_vector()
             ), mode
         # The aliasing campaign reused the signature campaign's session
-        # contexts: mostly hits, and at most one cold build per worker
-        # the pool scheduler never handed a signature chunk (the
-        # deterministic zero-build proof is the jobs=1 test below).
-        assert shared["aliasing"].context_stats.builds <= 4
-        assert shared["aliasing"].context_stats.hits > 0
+        # context: no build, a hit per class.
+        assert shared["aliasing"].context_stats.builds == 0
+        assert shared["aliasing"].context_stats.hits == len(universe)
 
     def test_warm_second_campaign_is_amortized(self, twm, universe):
         flow = _flows(twm)["compare"]
-        with CampaignRunner("batch", 2, min_chunk=8) as runner:
-            runner.bind(flow, universe)
+        with CampaignRunner("batch") as runner:
             cold = run_campaign(flow, universe, runner=runner)
             warm = run_campaign(flow, universe, runner=runner)
         assert cold.coverage_vector() == warm.coverage_vector()
-        assert cold.context_stats.builds >= 1
-        # Per-worker amortization contract: at most one build per
-        # worker process plus the inline cache, per campaign — and
-        # across both campaigns combined, since the warm run may only
-        # build in a worker the cold run's scheduler never used.
-        assert cold.context_stats.builds <= 2 + 1
-        assert (
-            cold.context_stats.builds + warm.context_stats.builds <= 2 + 1
-        )
-        assert warm.context_stats.hits > 0
+        assert cold.context_stats.builds == 1
+        assert warm.context_stats.builds == 0
+        assert warm.context_stats.hits == len(universe)
 
     def test_jobs1_shared_runner_keeps_cache_across_modes(
         self, twm, universe
     ):
-        # The CLI's mixed-mode default (jobs=1): re-binding the same
-        # works and universe must not wipe the inline context cache,
-        # so the aliasing campaign reuses the signature session.
+        # The CLI's mixed-mode run: the aliasing campaign reuses the
+        # signature campaign's session context on one shared runner.
         flows = _flows(twm)
         with CampaignRunner("batch", 1) as runner:
-            runner.bind(list(flows.values()), universe)
             run_campaign(flows["signature"], universe, runner=runner)
             aliasing = run_campaign(flows["aliasing"], universe, runner=runner)
         assert aliasing.context_stats.builds == 0
@@ -420,12 +401,7 @@ class TestPersistentWorkers:
         assert aliasing.context_stats.hits == len(universe)
 
     def test_jobs1_report_carries_context_stats(self, twm, universe):
-        report = run_campaign(
-            _flows(twm)["signature"],
-            universe,
-            engine="batch",
-            jobs=1,
-        )
+        report = run_campaign(_flows(twm)["signature"], universe, engine="batch")
         stats = report.context_stats
         assert stats is not None
         # One context for the whole campaign, one hit per further class.
@@ -482,15 +458,17 @@ class TestPersistentWorkers:
         assert report.engine == "batch"
 
     def test_rebinding_different_universe_stays_correct(self, twm, universe):
+        # One runner reused for a smaller universe: the cached context
+        # depends on the flow only, so the verdicts stay correct.
         flow = _flows(twm)["compare"]
         small = {"SAF": universe["SAF"], "TF": universe["TF"]}
-        with CampaignRunner("batch", 2, min_chunk=8) as runner:
-            runner.bind(flow, universe)
+        with CampaignRunner("batch") as runner:
             full = run_campaign(flow, universe, runner=runner)
             trimmed = run_campaign(flow, small, runner=runner)
         assert full.coverage_vector() == run_campaign(
-            flow, universe, engine="batch"
+            flow, universe, engine="reference"
         ).coverage_vector()
         assert trimmed.coverage_vector() == {
             name: full.coverage_vector()[name] for name in small
         }
+        assert trimmed.context_stats.builds == 0

@@ -511,14 +511,6 @@ class TestAliasingBatchEquivalence:
             )
             assert batched == expected
 
-    def test_jobs_identical(self):
-        flow = self.make_flow("March C-", 4, 4, seed=27, misr_width=2)
-        universe = small_universe(4, 4, 27)
-        seq = run_campaign(flow, universe, engine="batch", jobs=1)
-        par = run_campaign(flow, universe, engine="batch", jobs=4)
-        self.reports_equal(seq, par)
-        assert seq.jobs == 1 and par.jobs == 4
-
     def test_misr_seed_threaded_through(self):
         # Regression: aliasing_flow used to drop misr_seed entirely.
         flow = self.make_flow("March C-", N_WORDS, 4, seed=5)
@@ -610,40 +602,12 @@ class TestAliasingBatchEquivalence:
 
 
 class TestShardedCampaigns:
-    """jobs=1 and jobs=N produce bit-identical campaign reports."""
-
-    def reports_equal(self, a, b):
-        assert a.coverage_vector() == b.coverage_vector()
-        assert list(a.classes) == list(b.classes)
-        assert a.undetected == b.undetected
-        assert {n: s.total for n, s in a.stats.items()} == {
-            n: s.total for n, s in b.stats.items()
-        }
-
-    def test_compare_jobs_identical(self):
-        twm = twm_transform(catalog.get("March C-"), 4)
-        universe = small_universe(4, 4, 19)
-        flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=19)
-        seq = run_campaign(flow, universe, engine="batch", jobs=1)
-        par = run_campaign(flow, universe, engine="batch", jobs=4)
-        self.reports_equal(seq, par)
-        assert seq.jobs == 1 and par.jobs == 4
-
-    def test_signature_jobs_identical(self):
-        twm = twm_transform(catalog.get("March C-"), 4)
-        universe = small_universe(4, 4, 23)
-        flow = signature_flow(
-            twm.twmarch, twm.prediction, 4, 4, misr_width=8,
-            initial=None, seed=23,
-        )
-        seq = run_campaign(flow, universe, engine="batch", jobs=1)
-        par = run_campaign(flow, universe, engine="batch", jobs=4)
-        self.reports_equal(seq, par)
+    """Campaigns run in-process; ``shard_bounds`` lays out soak chunks."""
 
     def test_empty_universe(self):
         twm = twm_transform(catalog.get("March C-"), 4)
         flow = compare_flow(twm.twmarch, N_WORDS, 4, initial=0)
-        report = run_campaign(flow, {}, engine="batch", jobs=4)
+        report = run_campaign(flow, {}, engine="batch")
         assert report.classes == {} and report.total == 0
         assert report.percent == 100.0
 
@@ -651,23 +615,11 @@ class TestShardedCampaigns:
         twm = twm_transform(catalog.get("March C-"), 4)
         universe = {"SAF": small_universe(N_WORDS, 4, 2)["SAF"]}
         flow = compare_flow(twm.twmarch, N_WORDS, 4, initial=0)
-        seq = run_campaign(flow, universe, engine="batch", jobs=1)
-        par = run_campaign(flow, universe, engine="batch", jobs=4)
-        self.reports_equal(seq, par)
-
-    def test_forced_sharding_matches_sequential(self):
-        # min_chunk small enough that the pool really splits the class.
-        twm = twm_transform(catalog.get("March U"), 4)
-        universe = small_universe(4, 4, 31)
-        flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=31)
-        engine = get_engine("batch")
-        with CampaignRunner("batch", 3, min_chunk=4) as runner:
-            runner.bind(flow, universe)
-            for name, faults in universe.items():
-                sharded = runner.detect_class_packed(flow, faults, class_name=name)
-                assert sharded.tolist() == engine.detect_batch(
-                    flow.test, flow.n_words, flow.width, flow.words, faults
-                ), name
+        ref = run_campaign(flow, universe, engine="reference")
+        bat = run_campaign(flow, universe, engine="batch")
+        assert bat.coverage_vector() == ref.coverage_vector()
+        assert bat.undetected == ref.undetected
+        assert list(bat.stats) == ["SAF"]
 
     def test_shard_bounds_partition(self):
         for n, chunks in [(0, 4), (1, 4), (7, 3), (100, 8), (8, 8), (5, 9)]:
@@ -676,60 +628,22 @@ class TestShardedCampaigns:
             assert covered == list(range(n)), (n, chunks)
 
     def test_runner_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            CampaignRunner("batch", 0)
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs"):
+                CampaignRunner("batch", jobs)
 
     def test_unregistered_engine_runs_inline(self):
         class Anon(BatchEngine):
             name = "anonymous-not-registered"
 
-        runner = CampaignRunner(Anon(), jobs=4)
-        assert runner.jobs == 1  # cannot rehydrate by name in a worker
         twm = twm_transform(catalog.get("March C-"), 4)
         universe = {"SAF": small_universe(N_WORDS, 4, 2)["SAF"]}
         flow = compare_flow(twm.twmarch, N_WORDS, 4, initial=0)
-        report = run_campaign(flow, universe, engine=Anon(), jobs=4)
-        # The report records what actually ran, not what was requested.
-        assert report.jobs == 1
-
-    def test_interleaved_bound_runners_stay_correct(self):
-        # Regression for the old global-binding design, where a second
-        # runner's bind() clobbered the first's and the best the
-        # runtime could do was raise "binding changed".  Per-runner
-        # fork snapshots make interleaved bound runners simply work:
-        # each pool's workers only ever see their own runner's
-        # campaigns, even when the runners bind conflicting copies of
-        # the same class name.
-        from repro.engine import parallel as parallel_module
-
-        if parallel_module._pool_context().get_start_method() != "fork":
-            pytest.skip("zero-copy binding requires fork")
-        twm = twm_transform(catalog.get("March C-"), 4)
-        universe = small_universe(4, 4, 11)
-        flow = compare_flow(twm.twmarch, 4, 4, initial=None, seed=11)
-        engine = get_engine("batch")
-
-        def per_fault(faults):
-            return engine.detect_batch(
-                flow.test, flow.n_words, flow.width, flow.words, faults
-            )
-
-        first = CampaignRunner("batch", 2, min_chunk=4)
-        second = CampaignRunner("batch", 2, min_chunk=4)
-        try:
-            first.bind(flow, universe)
-            short = {"SAF": universe["SAF"][:6]}  # conflicting "SAF"
-            second.bind(flow, short)
-            for name in ("CFst-intra", "SAF"):
-                assert first.detect_class_packed(
-                    flow, universe[name], class_name=name
-                ).tolist() == per_fault(universe[name]), name
-            assert second.detect_class_packed(
-                flow, short["SAF"], class_name="SAF"
-            ).tolist() == per_fault(short["SAF"])
-        finally:
-            first.close()
-            second.close()
+        report = run_campaign(flow, universe, engine=Anon())
+        assert report.engine == "anonymous-not-registered"
+        assert report.coverage_vector() == run_campaign(
+            flow, universe, engine="batch"
+        ).coverage_vector()
 
 
 class TestMisrHelpers:

@@ -1,5 +1,8 @@
 """Tests for the fault-model dataclasses."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.memory.faults import (
@@ -10,6 +13,7 @@ from repro.memory.faults import (
     StuckAtFault,
     TransitionFault,
 )
+from repro.memory.injection import InterWordCFClass
 
 
 class TestCell:
@@ -19,6 +23,36 @@ class TestCell:
 
     def test_str(self):
         assert str(Cell(3, 5)) == "(3,5)"
+
+    def test_slotted_without_instance_dict(self):
+        cell = Cell(3, 5)
+        assert not hasattr(cell, "__dict__")
+        assert Cell.__slots__ == ("addr", "bit")
+        with pytest.raises(AttributeError):
+            cell.addr = 4  # still frozen
+
+    def test_value_semantics(self):
+        cells = [Cell(2, 0), Cell(0, 7), Cell(2, 1), Cell(0, 0)]
+        assert sorted(cells) == [Cell(0, 0), Cell(0, 7), Cell(2, 0), Cell(2, 1)]
+        assert Cell(1, 2) == Cell(1, 2) and Cell(1, 2) != Cell(2, 1)
+        assert hash(Cell(1, 2)) == hash((1, 2))  # the field tuple's hash
+        assert len({Cell(1, 2), Cell(1, 2), Cell(2, 1)}) == 2
+
+    def test_pickle_round_trip(self):
+        cell = Cell(6, 3)
+        restored = pickle.loads(pickle.dumps(cell))
+        assert restored == cell and hash(restored) == hash(cell)
+        fault = StuckAtFault(cell, 1)
+        assert pickle.loads(pickle.dumps(fault)) == fault
+
+    def test_inter_word_class_pickle_drops_cell_cache(self):
+        fc = InterWordCFClass(4, 2, "CFst", max_pairs=6, rng=random.Random(1))
+        pairs = fc.cells  # builds and caches the cell pairs
+        assert "cells" in vars(fc)
+        restored = pickle.loads(pickle.dumps(fc))
+        assert "cells" not in vars(restored)
+        assert restored.cells == pairs
+        assert list(restored) == list(fc)
 
 
 class TestStuckAt:

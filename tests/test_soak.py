@@ -147,20 +147,14 @@ class TestLfsrWorkload:
         assert all(e.kind == "w" for e in self.events(all_writes, 500))
 
     def test_state_restore_resumes_bit_identically(self):
+        # The whole generator state is the LFSR register: a workload
+        # seeded with a captured state replays the rest of the stream.
         workload = LfsrWorkload(8, 8, seed=11)
         self.events(workload, 1000)
         mark = workload.state
         tail = self.events(workload, 1000)
-        resumed = LfsrWorkload(8, 8, seed=11)
-        resumed.restore(mark)
+        resumed = LfsrWorkload(8, 8, seed=mark)
         assert self.events(resumed, 1000) == tail
-
-    def test_spawn_checker_is_independent(self):
-        workload = LfsrWorkload(8, 8, seed=11)
-        checker = workload.spawn_checker()
-        state = workload.state
-        checker.step()
-        assert workload.state == state  # generator unperturbed
 
     def test_validation(self):
         with pytest.raises(ValueError):

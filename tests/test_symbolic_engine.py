@@ -181,15 +181,6 @@ class TestCampaignEquivalence:
         }
         assert verdicts["reference"] == verdicts["symbolic"]
 
-    def test_jobs_identical(self):
-        universe = small_universe(4, 4, 19)
-        flow = compare_flow(TWM[4], 4, 4, initial=None, seed=19)
-        seq = run_campaign(flow, universe, engine="symbolic", jobs=1)
-        par = run_campaign(flow, universe, engine="symbolic", jobs=4)
-        assert seq.coverage_vector() == par.coverage_vector()
-        assert seq.undetected == par.undetected
-        assert seq.jobs == 1 and par.jobs == 4
-
 
 class TestWidthGenericVerdicts:
     """One evaluation answers every width the fault fits in."""
