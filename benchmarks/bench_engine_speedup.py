@@ -32,8 +32,7 @@ the interpreter, and an ill-formed test proves the counter live
 (``fallback_counter_live``).
 
 Results are written as machine-readable JSON to ``BENCH_engine.json``
-at the repository root (the tracked perf trajectory) and mirrored to
-``benchmarks/out/engine_speedup.json``.
+at the repository root (the tracked perf trajectory).
 
 Usage::
 
@@ -72,7 +71,6 @@ from repro.memory.injection import (
 )
 
 ROOT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-MIRROR_OUT = pathlib.Path(__file__).parent / "out" / "engine_speedup.json"
 
 
 class _FallbackCounter:
@@ -386,8 +384,6 @@ def main(argv=None) -> int:
 
     text = json.dumps(payload, indent=2) + "\n"
     ROOT_OUT.write_text(text, encoding="utf-8")
-    MIRROR_OUT.parent.mkdir(exist_ok=True)
-    MIRROR_OUT.write_text(text, encoding="utf-8")
     print(text, end="")
     if not ok:
         print(

@@ -18,8 +18,7 @@ runs through four legs:
   and restarted soak; the stitched reports must again be bit-identical.
 
 Results are written as machine-readable JSON to ``BENCH_soak.json`` at
-the repository root (the tracked perf trajectory) and mirrored to
-``benchmarks/out/soak.json``.
+the repository root (the tracked perf trajectory).
 
 Usage::
 
@@ -40,7 +39,6 @@ from repro.engine import FaultPlan, RetryPolicy
 from repro.soak import run_soak_campaign, scenario_matrix
 
 ROOT_OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_soak.json"
-MIRROR_OUT = pathlib.Path(__file__).parent / "out" / "soak.json"
 
 
 def build_matrix(args):
@@ -175,8 +173,6 @@ def main(argv=None) -> int:
 
     text = json.dumps(payload, indent=2) + "\n"
     ROOT_OUT.write_text(text, encoding="utf-8")
-    MIRROR_OUT.parent.mkdir(exist_ok=True)
-    MIRROR_OUT.write_text(text, encoding="utf-8")
     print(text, end="")
     if not ok:
         print("ERROR: a soak recovery leg failed its bit-identity check")

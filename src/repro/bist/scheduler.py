@@ -166,7 +166,10 @@ class SessionStepper:
     on an interfering write can attribute the abort to the phase it
     hit.  A session finishes on the :meth:`step` call that tries to
     run past its last op: a call that exactly consumes the remaining
-    ops leaves it unfinished until the next one.
+    ops leaves it unfinished until the next one.  Ops follow
+    :class:`~repro.memory.model.Memory`'s fast-path rule: on a word
+    outside ``_hot`` they touch ``_words`` directly (writes only while
+    ``_settled``), with the access counters bumped in bulk.
 
     With ``track_stream=True`` the stepper also runs the alias-free
     checker next to the MISRs: the prediction phase's expected read
@@ -232,18 +235,27 @@ class SessionStepper:
         its reads into *misr* (``Misr.absorb`` inlined)."""
         schedule = self._schedule
         addrs, kinds, masks = schedule.addrs, schedule.kinds, schedule.masks
-        read, write = self.memory.read, self.memory.write
+        memory = self.memory
+        read, write, words = memory.read, memory.write, memory._words
+        # Observers see every access: then every word takes the full path.
+        hot = range(memory.n_words) if memory._observers else memory._hot
+        settled = memory._settled
         track = self.track_stream
         expected = self._expected
         checked = self._checked
         raw = self._raw
         state, taps, mask, shift = misr.state, misr.taps, misr.mask, misr.width
-        wide = self.memory.width > shift
-        reads = 0
+        wide = memory.width > shift
+        reads = direct_reads = direct_writes = 0
         for index in range(lo, hi):
             kind = kinds[index]
+            addr = addrs[index]
             if kind == _READ:
-                value = raw = read(addrs[index])
+                if addr in hot:
+                    value = raw = read(addr)
+                else:
+                    value = raw = words[addr]
+                    direct_reads += 1
                 if predicting:
                     value ^= masks[index]
                     if track:
@@ -263,10 +275,15 @@ class SessionStepper:
                     ((state << 1) & mask) | ((state & taps).bit_count() & 1)
                 ) ^ value
                 reads += 1
-            elif kind == _WRITE:
-                write(addrs[index], masks[index])
             else:
-                write(addrs[index], raw ^ masks[index])
+                value = masks[index] if kind == _WRITE else raw ^ masks[index]
+                if settled and addr not in hot:
+                    words[addr] = value
+                    direct_writes += 1
+                else:
+                    write(addr, value)
+        memory.read_count += direct_reads
+        memory.write_count += direct_writes
         misr.state = state
         misr.absorbed += reads
         self._checked = checked

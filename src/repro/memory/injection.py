@@ -52,9 +52,7 @@ class FaultyMemory(Memory):
         fill: int = 0,
     ) -> None:
         self._faults: list[Fault] = []
-        self._hot: frozenset[int] = frozenset()
         self._chained = False
-        self._settled = True
         super().__init__(n_words, width, fill)
         for fault in faults:
             self.inject(fault)

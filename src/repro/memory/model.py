@@ -18,6 +18,12 @@ from .traces import AccessEvent, Observer
 class Memory:
     """An ``n_words`` x ``width`` RAM with observer hooks."""
 
+    # The fast-path rule (kept current by the fault-injecting subclass):
+    # with no observer, reading a word outside ``_hot``, or writing one
+    # while ``_settled``, is plain ``_words[addr]`` access.
+    _hot: frozenset[int] = frozenset()
+    _settled = True
+
     def __init__(self, n_words: int, width: int, fill: int = 0) -> None:
         if n_words < 1:
             raise ValueError("memory needs at least one word")

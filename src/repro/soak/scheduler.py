@@ -28,6 +28,16 @@ grown into the paper's deployment story:
   cells attribute the detection to concrete fault episodes — the
   per-scenario diagnosis-accuracy figure.
 
+The run is an exact event loop, not one iteration per cycle.  The
+traffic never depends on memory, so it is built up front as a busy
+list (block-parsed for :class:`~repro.soak.workload.LfsrWorkload`,
+one call per cycle otherwise).  A busy read off the hot words only
+counts.  The idle cycles up to the next stop (busy cycle, toggle,
+period end, horizon) are one ``step(min(run * ops, budget_left))``:
+nothing else touches the memory in between, and a session that
+finishes in the run does so on cycle ``run_start + remaining // ops``,
+the first one that would have been granted more ops than it had left.
+
 Everything in the resulting :class:`SoakReport` is a pure function of
 ``(memory geometry, tests, schedule, timeline, workload seed)``: no
 wall clock, no global RNG, no hash-ordered iteration — the property
@@ -45,6 +55,7 @@ from ..core.march import MarchTest
 from ..memory.faults import AddressDecoderFault
 from ..memory.injection import FaultyMemory
 from .arrivals import FaultTimeline
+from .workload import LfsrWorkload
 
 
 @dataclass(frozen=True)
@@ -314,7 +325,15 @@ class SoakScheduler:
         }
         episodes = {ep.index: ep for ep in self.timeline}
         events = self.timeline.toggle_events(cycles)
+        toggles = sorted(events) + [cycles]
+        busy = workload.events(cycles) if isinstance(workload, LfsrWorkload) else [
+            (cycle, event.kind, event.addr, event.value) for cycle in range(cycles)
+            if (event := workload(cycle, self.rng)) is not None
+        ]
+        busy.append((cycles, "", 0, 0))
         injected: set[int] = set()
+        memory = self.memory
+        ops = self.schedule.ops_per_idle_cycle
 
         step = 0
         session: SessionStepper | None = None
@@ -322,10 +341,11 @@ class SoakScheduler:
         completed_this_period = 0
         starved_streak = healthy_streak = 0
         budget_left = self.schedule.budget
-        period_start = 0
         period_end = self.schedule.period * self.steps[0][1]
+        next_busy = next_toggle = 0  # indexes into busy / toggles
 
-        for cycle in range(cycles):
+        cycle = 0
+        while cycle < cycles:
             # -- period boundary: health accounting + ladder moves ----
             if cycle >= period_end:
                 report.periods += 1
@@ -344,10 +364,9 @@ class SoakScheduler:
                     step += 1
                     report.degradations += 1
                     starved_streak = healthy_streak = 0
-                    if session is not None:
-                        # The in-flight session belongs to the old
-                        # rung; restart on the new one.
-                        session = None
+                    # The in-flight session belongs to the old rung;
+                    # restart on the new one.
+                    session = None
                 elif (
                     healthy_streak >= self.schedule.recovery_window
                     and step > 0
@@ -357,25 +376,25 @@ class SoakScheduler:
                     starved_streak = healthy_streak = 0
                 completed_this_period = 0
                 budget_left = self.schedule.budget
-                period_start = cycle
-                period_end = period_start + (
-                    self.schedule.period * self.steps[step][1]
-                )
+                period_end = cycle + self.schedule.period * self.steps[step][1]
 
             # -- fault weather: episodes toggling in and out ----------
-            for index, active in events.get(cycle, ()):
-                if active and index not in injected:
-                    self.memory.inject(episodes[index].fault)
-                    injected.add(index)
-                elif not active and index in injected:
-                    self.memory.remove(episodes[index].fault)
-                    injected.discard(index)
+            if cycle == toggles[next_toggle]:
+                next_toggle += 1
+                for index, active in events[cycle]:
+                    if active and index not in injected:
+                        memory.inject(episodes[index].fault)
+                        injected.add(index)
+                    elif not active and index in injected:
+                        memory.remove(episodes[index].fault)
+                        injected.discard(index)
 
             # -- workload owns the memory this cycle? -----------------
-            access = workload(cycle, self.rng)
-            if access is not None:
-                if access.kind == "w":
-                    self.memory.write(access.addr, access.value)
+            at, kind, addr, value = busy[next_busy]
+            if at == cycle:
+                next_busy += 1
+                if kind == "w":
+                    memory.write(addr, value)
                     report.busy_writes += 1
                     if session is not None:
                         report.sessions_aborted += 1
@@ -384,48 +403,53 @@ class SoakScheduler:
                         else:
                             report.aborted_in_test += 1
                         session = None
-                else:
-                    self.memory.read(access.addr)
+                else:  # a read off the hot words has no side effect
+                    if addr in memory._hot or memory._observers:
+                        memory.read(addr)
+                    else:
+                        memory.read_count += 1
                     report.busy_reads += 1
+                cycle += 1
                 continue
 
-            # -- idle: advance (or launch) the periodic session -------
-            report.idle_cycles += 1
-            if session is None:
-                if completed_this_period > 0:
-                    continue  # this period's test already ran
-                if budget_left is not None and budget_left <= 0:
-                    continue  # budget starved: wait for the next period
+            # -- idle run up to the next stop: advance (or launch) ----
+            stop = min(at, toggles[next_toggle], period_end)
+            report.idle_cycles += stop - cycle
+            if (
+                session is None
+                and completed_this_period == 0
+                and (budget_left is None or budget_left > 0)
+            ):
                 rung, _ = self.steps[step]
                 session = SessionStepper(
-                    self.memory,
+                    memory,
                     rung.test,
                     rung.prediction,
                     self.misr_width,
                     track_stream=True,
                 )
                 session_start = cycle
-            ops = self.schedule.ops_per_idle_cycle
+            grant = (stop - cycle) * ops
             if budget_left is not None:
-                ops = min(ops, budget_left)
-                if ops == 0:
-                    continue
-            done = session.step(ops)
-            report.bist_ops += done
-            if budget_left is not None:
-                budget_left -= done
-            if session.finished:
-                report.sessions_completed += 1
-                completed_this_period += 1
-                if session.stream_detected and not session.detected:
-                    report.aliasing_escapes += 1
-                if session.detected:
-                    report.sessions_detecting += 1
-                    self._attribute_detection(
-                        report, outcomes, episodes, session_start, cycle
-                    )
-                session = None
-
+                grant = min(grant, budget_left)
+            if session is not None and grant:
+                done = session.step(grant)
+                report.bist_ops += done
+                if budget_left is not None:
+                    budget_left -= done
+                if session.finished:
+                    finish = cycle + done // ops  # see the module docstring
+                    report.sessions_completed += 1
+                    completed_this_period += 1
+                    if session.stream_detected and not session.detected:
+                        report.aliasing_escapes += 1
+                    if session.detected:
+                        report.sessions_detecting += 1
+                        self._attribute_detection(
+                            report, outcomes, episodes, session_start, finish
+                        )
+                    session = None
+            cycle = stop
         report.final_step = self.step_label(*self.steps[step])
         report.episodes = [outcomes[i] for i in sorted(outcomes)]
         return report

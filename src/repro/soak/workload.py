@@ -12,6 +12,12 @@ Errors are likewise counted on the fly by the session stepper's
 streaming checker (:class:`~repro.bist.scheduler.SessionStepper` with
 ``track_stream=True``); no access trace or expected-data buffer scales
 with uptime.
+
+The soak scheduler takes the traffic a block at a time
+(:meth:`LfsrWorkload.events`): since ``draw(a + b) == draw(a) << b |
+draw(b)``, the cycles' draws are one bit stream, so the block draws it
+a register width at a time and cuts each cycle's fields off its top
+with shifts, then sets the register to where per-cycle calls leave it.
 """
 
 from __future__ import annotations
@@ -76,3 +82,32 @@ class LfsrWorkload:
         if self._lfsr.draw(_DECISION_BITS) < self.write_threshold:
             return AccessEvent("w", addr, self._lfsr.draw(self.width))
         return AccessEvent("r", addr, 0)
+
+    def events(self, cycles: int) -> list[tuple[int, str, int, int]]:
+        """The busy events of the next *cycles* cycles, as ``(cycle,
+        kind, addr, value)`` with the cycle counted from here; leaves
+        :attr:`state` exactly where *cycles* calls would."""
+        lfsr = self._lfsr
+        chunk, draw, start = lfsr.width, lfsr.draw, lfsr.state
+        need = 2 * _DECISION_BITS + 16 + self.width
+        data_mask = (1 << self.width) - 1
+        out = []
+        buf = avail = drawn = 0  # avail: drawn bits not yet consumed
+        for cycle in range(cycles):
+            while avail < need:  # keep `chunk` consumed bits for the end state
+                buf = (buf & ((1 << (avail + chunk)) - 1)) << chunk | draw(chunk)
+                avail += chunk
+                drawn += chunk
+            avail -= _DECISION_BITS
+            if (buf >> avail) % _SCALE < self.idle_threshold:
+                continue
+            avail -= 16
+            addr = (buf >> avail) % 65536 % self.n_words
+            avail -= _DECISION_BITS
+            if (buf >> avail) % _SCALE < self.write_threshold:
+                avail -= self.width
+                out.append((cycle, "w", addr, (buf >> avail) & data_mask))
+            else:
+                out.append((cycle, "r", addr, 0))
+        lfsr.state = ((start << (drawn - avail)) | (buf >> avail)) & lfsr.mask
+        return out
